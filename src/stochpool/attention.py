@@ -1,10 +1,18 @@
-"""Scaled dot-product attention and its query / key-value pooled variant.
+"""Scaled dot-product attention, multi-head and pooled, as one fused op.
 
-The pooled form shrinks the attention computation without touching any
-parameters: queries are mean-pooled by ``s_q`` and keys/values jointly by
-``s_k`` before the usual softmax(Q K^T / sqrt(d)) V, and the result is
-replicate-upsampled back to the original query length. With both factors
-at 1 the computation is bit-identical to plain attention.
+Every attention call runs one tape op over (H, T, d) views of the
+projected queries, keys and values: a batched matmul for the logits, then
+scale, key mask, max shift, exp and normalisation in place in that single
+(H, Tq, Tk) buffer, then a batched matmul with the values. Its backward is
+written by hand, and it reports its multiply-accumulates to the active
+counter like ``matmul`` does. Single-head attention is the H = 1 case.
+
+The pooled form shrinks the computation without touching any parameters:
+queries are mean-pooled by ``s_q`` and keys/values jointly by ``s_k``
+before attention, and the result is replicate-upsampled back to the
+original query length. Pooling acts on the time axis only, so pooling the
+full projected matrices equals pooling each head. With both factors at 1
+the computation is bit-identical to plain attention.
 """
 
 from __future__ import annotations
@@ -16,18 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
 from .pooling import downsample, masked_downsample, upsample
-from .tensor import (
-    Tensor,
-    add,
-    as_tensor,
-    concat,
-    mac_scope,
-    matmul,
-    scale,
-    slice_cols,
-    softmax_rows,
-    transpose,
-)
+from .tensor import Tensor, _active_macs, _wrap, as_tensor, mac_scope, matmul
 
 
 @dataclass(frozen=True)
@@ -69,19 +66,54 @@ class AttentionParams:
     def model_dim(self) -> int:
         return self.w_q.shape[0]
 
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(T, H*d) -> (H, T, d) view."""
+    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
 
 
-def _mask_bias(mask: np.ndarray, dtype) -> Tensor:
-    bias = np.where(mask, 0.0, -np.inf).astype(dtype)
-    return Tensor(bias)
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(H, T, d) -> (T, H*d); a view when H == 1."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
-def attend(q, k, v, mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v with optional key-validity masking.
+def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
+    """softmax(q k^T / sqrt(d) + key mask) v for each head, as one tape op."""
+    tq, tk = q.shape[0], k.shape[0]
+    d = q.shape[1] // heads
+    macs = _active_macs()
+    if macs is not None:
+        macs.add(heads * tq * tk * (d + v.shape[1] // heads))
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    c = 1.0 / math.sqrt(d)
+    # the one (H, Tq, Tk) buffer: logits, then probabilities, in place
+    p = qh @ kh.transpose(0, 2, 1)
+    p *= c
+    if mask is not None and not mask.all():
+        p += np.where(mask, 0.0, -np.inf).astype(p.dtype)
+    p -= p.max(axis=2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=2, keepdims=True)
 
+    def bwd(g):
+        gh = _split_heads(g, heads)
+        dv = p.transpose(0, 2, 1) @ gh
+        ds = gh @ vh.transpose(0, 2, 1)
+        ds -= (ds * p).sum(axis=2, keepdims=True)
+        ds *= p
+        ds *= c
+        return (_merge_heads(ds @ kh), _merge_heads(ds.transpose(0, 2, 1) @ qh),
+                _merge_heads(dv))
+
+    return _wrap(_merge_heads(p @ vh), (q, k, v), bwd)
+
+
+def attend(q, k, v, mask=None, heads: int = 1) -> Tensor:
+    """softmax(q k^T / sqrt(d)) v with optional key-validity masking.
+
+    With ``heads`` > 1 the columns of q, k and v split into that many
+    equal groups; group h attends with q, k and v's group h (d is the
+    group width of q), and the outputs sit side by side in column order.
     Masked keys receive -inf logits and thus zero weight. It is an error
     for every key to be masked: the attention distribution would be
     undefined.
@@ -93,19 +125,19 @@ def attend(q, k, v, mask=None) -> Tensor:
         raise ShapeError(f"query/key widths disagree: {q.shape} vs {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"key/value lengths disagree: {k.shape} vs {v.shape}")
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise ConfigError(f"widths {q.shape[1]} and {v.shape[1]} must be divisible "
+                          f"by heads={heads}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (k.shape[0],):
             raise ShapeError(f"key mask must have shape ({k.shape[0]},), got {mask.shape}")
         if not mask.any():
             raise InputError("all attention keys are masked; distribution undefined")
-    logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    if mask is not None and not mask.all():
-        logits = add(logits, _mask_bias(mask, logits.dtype))
-    return matmul(softmax_rows(logits), v)
+    return _fused_attention(q, k, v, mask, heads)
 
 
-def pooled_attend(q, k, v, factors: PoolFactors, mask=None) -> Tensor:
+def pooled_attend(q, k, v, factors: PoolFactors, mask=None, heads: int = 1) -> Tensor:
     """Attention over pooled queries/keys/values, upsampled back to len(q).
 
     Keys and values share the pooling factor so they stay aligned. When a
@@ -124,48 +156,23 @@ def pooled_attend(q, k, v, factors: PoolFactors, mask=None) -> Tensor:
         else:
             k = downsample(k, factors.s_k)
             v = downsample(v, factors.s_k)
-    out = attend(q, k, v, mask)
+    out = attend(q, k, v, mask, heads)
     if factors.s_q > 1:
         out = upsample(out, factors.s_q, truncate_to=n)
     return out
 
 
 def multi_head_pooled(x, params: AttentionParams, factors: PoolFactors, mask=None) -> Tensor:
-    """Multi-head attention over x with pooling applied after projection.
-
-    Pooling acts on the full projected Q/K/V matrices before the head
-    split; since it only touches the time axis this is equivalent to
-    pooling each head separately.
-    """
+    """Multi-head attention over x: project, pooled attention over all
+    heads at once, project back."""
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[1] != params.model_dim:
         raise ShapeError(f"input width must be {params.model_dim}, got shape {x.shape}")
-    n = x.shape[0]
     with mac_scope("attn_proj"):
         q = matmul(x, params.w_q)
         k = matmul(x, params.w_k)
         v = matmul(x, params.w_v)
-    if factors.s_q > 1:
-        q = downsample(q, factors.s_q)
-    if factors.s_k > 1:
-        if mask is not None:
-            k, pooled_mask = masked_downsample(k, factors.s_k, mask)
-            v, _ = masked_downsample(v, factors.s_k, mask)
-            mask = pooled_mask
-        else:
-            k = downsample(k, factors.s_k)
-            v = downsample(v, factors.s_k)
-    dk = params.head_dim
-    heads = []
     with mac_scope("attn_scores"):
-        for h in range(params.heads):
-            lo, hi = h * dk, (h + 1) * dk
-            heads.append(attend(slice_cols(q, lo, hi),
-                                slice_cols(k, lo, hi),
-                                slice_cols(v, lo, hi),
-                                mask))
-    out = heads[0] if len(heads) == 1 else concat(heads, axis=1)
-    if factors.s_q > 1:
-        out = upsample(out, factors.s_q, truncate_to=n)
+        out = pooled_attend(q, k, v, factors, mask, params.heads)
     with mac_scope("attn_proj"):
         return matmul(out, params.w_o)

@@ -181,14 +181,13 @@ def cmd_verify(args) -> int:
 
 def cmd_pretrain(args) -> int:
     rc = _load_run_config(args)
+    if rc.dataset != "synthetic-sines":
+        raise ConfigError(f"pretrain supports dataset=synthetic-sines, got {rc.dataset!r}")
+    model, extras, _ = _model_from(rc)
+    dataset = SineFeatureDataset(rc.dataset_size, model.config.model_dim, seed=rc.seed)
+    plan = _plan(rc, "masked_regression", model.config.depth)
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)
-    model, extras, _ = _model_from(rc)
-    if rc.dataset == "synthetic-sines":
-        dataset = SineFeatureDataset(rc.dataset_size, model.config.model_dim, seed=rc.seed)
-    else:
-        raise ConfigError(f"pretrain supports dataset=synthetic-sines, got {rc.dataset!r}")
-    plan = _plan(rc, "masked_regression", model.config.depth)
     emb = extras.get("pretrain.mask_embedding")
     result = pretrain_toy(model, plan, dataset, mask_embedding=emb)
     write_train_log(out / "train_log.jsonl", result.log)
@@ -205,11 +204,11 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     rc = _load_run_config(args)
-    out = Path(rc.output_dir)
-    echo_effective_config(rc, out)
     model, extras, _ = _model_from(rc)
     train, val, vocab, token_vocab = _labeled_datasets(rc, model.config.model_dim)
     plan = _plan(rc, "ctc", model.config.depth)
+    out = Path(rc.output_dir)
+    echo_effective_config(rc, out)
     head = None
     if "head.weight" in extras and "head.bias" in extras:
         head = {"head.weight": extras["head.weight"], "head.bias": extras["head.bias"]}
@@ -234,8 +233,6 @@ STANDARD_SWEEP = ("1-1-1", "2-1-1", "2-2-1", "2-2-2")
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
-    out = Path(rc.output_dir)
-    echo_effective_config(rc, out)
     if rc.checkpoint:
         ck = load_checkpoint(rc.checkpoint)
         model, extras = ck.build_model()
@@ -258,6 +255,8 @@ def cmd_sweep(args) -> int:
     else:
         dataset = SineFeatureDataset(rc.utterances, model.config.model_dim, seed=rc.seed,
                                      min_frames=rc.frames, max_frames=rc.frames)
+    out = Path(rc.output_dir)
+    echo_effective_config(rc, out)
     reports = sweep(model, configs, dataset, preset=rc.preset, repeats=rc.repeats,
                     head=head, measure_time=rc.measure and not args.no_measure)
     write_csv(out / "sweep.csv", reports)

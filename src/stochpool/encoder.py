@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -442,33 +443,57 @@ def save_checkpoint(path, config: EncoderConfig, params: dict, meta: dict | None
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a file written by ``save_checkpoint``.
+
+    Every read is bounds-checked: a truncated or corrupt file, or one with
+    bytes after the last tensor, raises InputError naming the offset.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
-    if bytes(view[:4]) != CHECKPOINT_MAGIC:
+        view = memoryview(fh.read())
+    offset = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal offset
+        if n > len(view) - offset:
+            raise InputError(f"{path}: truncated checkpoint: {what} needs {n} bytes "
+                             f"at offset {offset}, {len(view) - offset} left")
+        offset += n
+        return view[offset - n:offset]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    def corrupt(what: str, exc: Exception) -> InputError:
+        return InputError(f"{path}: corrupt checkpoint: {what} before offset {offset} ({exc})")
+
+    if bytes(take(4, "magic")) != CHECKPOINT_MAGIC:
         raise InputError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", view, 4)
+    (version,) = unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
         raise InputError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<I", view, 8)
-    offset = 12
-    header = json.loads(bytes(view[offset:offset + header_len]).decode("utf-8"))
-    offset += header_len
-    (n_params,) = struct.unpack_from("<I", view, offset)
-    offset += 4
+    (header_len,) = unpack("<I", "header length")
+    raw_header = take(header_len, "header")
+    try:
+        header = json.loads(bytes(raw_header).decode("utf-8"))
+        config = EncoderConfig.from_dict(header["config"])
+        meta = header.get("meta", {})
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise corrupt("header", exc) from None
+    (n_params,) = unpack("<I", "parameter count")
     params = {}
     for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        name = bytes(view[offset:offset + name_len]).decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", view, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", view, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(view, dtype="<f4", count=size, offset=offset).reshape(shape)
-        offset += 4 * size
-        params[name] = data.copy()
-    return Checkpoint(config=EncoderConfig.from_dict(header["config"]),
-                      params=params, meta=header.get("meta", {}))
+        (name_len,) = unpack("<H", "parameter name length")
+        raw_name = take(name_len, "parameter name")
+        try:
+            name = bytes(raw_name).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise corrupt("parameter name", exc) from None
+        (ndim,) = unpack("<B", f"rank of {name!r}")
+        shape = unpack(f"<{ndim}I", f"shape of {name!r}")
+        size = math.prod(shape)
+        raw = take(4 * size, f"values of {name!r}")
+        params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    if offset != len(view):
+        raise InputError(f"{path}: corrupt checkpoint: {len(view) - offset} trailing bytes "
+                         f"after offset {offset}")
+    return Checkpoint(config=config, params=params, meta=meta)

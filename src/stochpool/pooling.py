@@ -6,6 +6,10 @@ zero-padded, which would bias the final frame toward zero). ``upsample``
 repeats each row ``factor`` times and optionally truncates so callers can
 restore an exact pre-pooling length. Both are linear, have exact adjoints,
 and are inverse in the order downsample(upsample(y)) == y.
+
+Every block sum (``downsample``, ``masked_downsample`` and ``upsample``'s
+backward) goes through one reshape-based helper, ``_block_sums``, which
+adds a block's rows in order.
 """
 
 from __future__ import annotations
@@ -32,6 +36,18 @@ def output_length(n: int, factor: int) -> int:
     return -(-n // factor)
 
 
+def _block_sums(a: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of consecutive blocks of ``factor`` rows, the last one possibly
+    partial; rows are added in order within each block."""
+    n = a.shape[0]
+    full = n - n % factor
+    out = np.empty((output_length(n, factor),) + a.shape[1:], dtype=a.dtype)
+    a[:full].reshape((-1, factor) + a.shape[1:]).sum(axis=1, out=out[:full // factor])
+    if full < n:
+        a[full:].sum(axis=0, keepdims=True, out=out[-1:])
+    return out
+
+
 def downsample(x, factor) -> Tensor:
     """Mean over consecutive row blocks; output has ceil(N/factor) rows."""
     x = as_tensor(x)
@@ -45,9 +61,9 @@ def downsample(x, factor) -> Tensor:
     counts = np.minimum(factor, n - starts).astype(x.data.dtype)
     # mean as first-row + mean of deviations: bit-exact on blocks of
     # identical rows, which makes downsample(upsample(y)) == y hold exactly
-    base = x.data[starts]
+    base = x.data[::factor]
     deviations = x.data - np.repeat(base, factor, axis=0)[:n]
-    out = base + np.add.reduceat(deviations, starts, axis=0) / counts[:, None]
+    out = base + _block_sums(deviations, factor) / counts[:, None]
 
     def bwd(g):
         return (np.repeat(g / counts[:, None], factor, axis=0)[:n],)
@@ -78,8 +94,8 @@ def upsample(x, factor, truncate_to=None) -> Tensor:
 
     def bwd(g):
         grad = np.zeros_like(x.data)
-        starts = np.arange(0, length, factor)
-        grad[:len(starts)] = np.add.reduceat(g, starts, axis=0)
+        sums = _block_sums(g, factor)
+        grad[:len(sums)] = sums
         return (grad,)
 
     return _wrap(out, (x,), bwd)
@@ -102,12 +118,11 @@ def masked_downsample(x, factor, valid: np.ndarray):
     n = x.shape[0]
     if factor == 1:
         return _identity(x), valid.copy()
-    starts = np.arange(0, n, factor)
     weights = valid.astype(x.data.dtype)
-    counts = np.add.reduceat(weights, starts)
+    counts = _block_sums(weights, factor)
     pooled_valid = counts > 0
     safe = np.maximum(counts, 1.0)
-    out = np.add.reduceat(x.data * weights[:, None], starts, axis=0) / safe[:, None]
+    out = _block_sums(x.data * weights[:, None], factor) / safe[:, None]
 
     def bwd(g):
         spread = np.repeat(g / safe[:, None], factor, axis=0)[:n]

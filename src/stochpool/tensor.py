@@ -195,6 +195,17 @@ class Tape:
         return GradientMap(grads)
 
 
+@contextmanager
+def no_grad():
+    """Suspend the active tape for the block: ops inside it are not recorded."""
+    saved = _active_tape()
+    _state.tape = None
+    try:
+        yield
+    finally:
+        _state.tape = saved
+
+
 def backward(loss: Tensor) -> GradientMap:
     """Gradient map for a scalar loss produced on a live tape."""
     if loss.tape is None:
@@ -342,7 +353,7 @@ def gelu(a) -> Tensor:
     """GELU in its tanh form."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(inner)
 
     def bwd(g):

@@ -23,7 +23,19 @@ from .ctc import ctc_loss, edit_distance, greedy_decode
 from .encoder import EncoderModel
 from .errors import ConfigError, DivergenceError, InfeasibleLabelError, InputError
 from .stochastic import CompressionConfig, FactorSets, Rng, fixed_config, sample_config
-from .tensor import GradientMap, Tape, Tensor, add, backward, matmul, mul, scale, sub, sum_all
+from .tensor import (
+    GradientMap,
+    Tape,
+    Tensor,
+    add,
+    backward,
+    matmul,
+    mul,
+    no_grad,
+    scale,
+    sub,
+    sum_all,
+)
 
 MASK_FRACTION = 0.3
 MASK_SPAN = 3
@@ -147,24 +159,9 @@ def _utterance_features(model: EncoderModel, utt, freeze_extractor: bool):
     if utt.features is not None:
         return Tensor(utt.features, dtype=model.dtype)
     if freeze_extractor:
-        with _no_tape():
+        with no_grad():
             return Tensor(model.extract_features(utt.audio).data)
     return model.extract_features(utt.audio)
-
-
-class _no_tape:
-    """Temporarily deactivate the ambient tape (frozen-extractor path)."""
-
-    def __enter__(self):
-        from . import tensor as _t
-        self._saved = _t._active_tape()
-        _t._state.tape = None
-        return self
-
-    def __exit__(self, *exc):
-        from . import tensor as _t
-        _t._state.tape = self._saved
-        return False
 
 
 def _mask_plan(rng: Rng, frames: int) -> np.ndarray:

@@ -299,17 +299,20 @@ def _check_multi_head_gradients(seed):
     x = _rand(rng.fork("x"), n, e)
     target = _const(rng, n, e)
     worst = 0.0
-    for s_q in (1, 2):
-        for s_k in (1, 2):
-            def fn(xt, wq, wk, wv, wo):
-                params = AttentionParams(w_q=wq, w_k=wk, w_v=wv, w_o=wo, heads=2)
-                out = multi_head_pooled(xt, params, PoolFactors(s_q=s_q, s_k=s_k))
-                return sum_all(mul(out, target))
+    # keys 2 and 3 masked: at s_k = 2 that is one whole pooled block
+    partly_masked = np.array([True, True, False, False, True, True])
+    for mask in (None, partly_masked):
+        for s_q in (1, 2):
+            for s_k in (1, 2):
+                def fn(xt, wq, wk, wv, wo):
+                    params = AttentionParams(w_q=wq, w_k=wk, w_v=wv, w_o=wo, heads=2)
+                    out = multi_head_pooled(xt, params, PoolFactors(s_q=s_q, s_k=s_k), mask)
+                    return sum_all(mul(out, target))
 
-            base = _make_attn_params(rng, e, 2)
-            err = check_gradients(fn, [x, base.w_q.data, base.w_k.data,
-                                       base.w_v.data, base.w_o.data])
-            worst = max(worst, err)
+                base = _make_attn_params(rng, e, 2)
+                err = check_gradients(fn, [x, base.w_q.data, base.w_k.data,
+                                           base.w_v.data, base.w_o.data])
+                worst = max(worst, err)
     assert worst < 1e-4, f"multi-head pooled gradient error {worst:.3e}"
 
 

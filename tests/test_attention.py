@@ -8,7 +8,7 @@ from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.pooling import downsample, upsample
 from stochpool.stochastic import Rng
-from stochpool.tensor import Tensor, concat, matmul, mul, slice_cols, sum_all, transpose
+from stochpool.tensor import Tape, Tensor, concat, matmul, mul, slice_cols, sum_all, transpose
 
 
 def rand(seed, *shape):
@@ -111,22 +111,23 @@ class TestPooledAttend:
 
 class TestMultiHeadPooled:
     def test_factor_one_equals_standard_multi_head(self):
-        e, heads, n = 8, 2, 6
-        x = rand(34, n, e)
-        params = params_for(35, e, heads)
-        got = multi_head_pooled(Tensor(x), params, PoolFactors(1, 1)).data
-        # independent composition: project, split heads, attend, concat, project
-        xt = Tensor(x)
-        q = matmul(xt, params.w_q)
-        k = matmul(xt, params.w_k)
-        v = matmul(xt, params.w_v)
-        dk = e // heads
-        heads_out = [attend(slice_cols(q, h * dk, (h + 1) * dk),
-                            slice_cols(k, h * dk, (h + 1) * dk),
-                            slice_cols(v, h * dk, (h + 1) * dk))
-                     for h in range(heads)]
-        want = matmul(concat(heads_out, axis=1), params.w_o).data
-        assert np.array_equal(got, want)
+        # a head width of 6 makes 1/sqrt(d) inexact, which pins where the scaling happens
+        for e, heads, n in ((8, 2, 6), (24, 4, 6)):
+            x = rand(34, n, e)
+            params = params_for(35, e, heads)
+            got = multi_head_pooled(Tensor(x), params, PoolFactors(1, 1)).data
+            # independent composition: project, split heads, attend, concat, project
+            xt = Tensor(x)
+            q = matmul(xt, params.w_q)
+            k = matmul(xt, params.w_k)
+            v = matmul(xt, params.w_v)
+            dk = e // heads
+            heads_out = [attend(slice_cols(q, h * dk, (h + 1) * dk),
+                                slice_cols(k, h * dk, (h + 1) * dk),
+                                slice_cols(v, h * dk, (h + 1) * dk))
+                         for h in range(heads)]
+            want = matmul(concat(heads_out, axis=1), params.w_o).data
+            assert np.array_equal(got, want)
 
     def test_output_shape_for_all_factor_pairs(self):
         e = 12
@@ -160,15 +161,31 @@ class TestMultiHeadPooled:
         x = rand(54, n, e)
         base = params_for(55, e, 2)
         tgt = Tensor(rand(56, n, e))
-        for s_q in (1, 2):
-            for s_k in (1, 2):
-                def fn(xt, wq, wk, wv, wo):
-                    p = AttentionParams(w_q=wq, w_k=wk, w_v=wv, w_o=wo, heads=2)
-                    out = multi_head_pooled(xt, p, PoolFactors(s_q=s_q, s_k=s_k))
-                    return sum_all(mul(out, tgt))
+        # keys 2 and 3 masked: at s_k = 2 that is one whole pooled block
+        partly_masked = np.array([True, True, False, False, True, True])
+        for mask in (None, partly_masked):
+            for s_q in (1, 2):
+                for s_k in (1, 2):
+                    def fn(xt, wq, wk, wv, wo):
+                        p = AttentionParams(w_q=wq, w_k=wk, w_v=wv, w_o=wo, heads=2)
+                        out = multi_head_pooled(xt, p, PoolFactors(s_q=s_q, s_k=s_k), mask)
+                        return sum_all(mul(out, tgt))
 
-                check_gradients(fn, [x, base.w_q.data, base.w_k.data,
-                                     base.w_v.data, base.w_o.data])
+                    check_gradients(fn, [x, base.w_q.data, base.w_k.data,
+                                         base.w_v.data, base.w_o.data])
+
+    def test_tape_records_independent_of_heads(self):
+        # all heads run as one fused op, so the head count adds no tape records
+        e = 8
+        x = Tensor(rand(59, 7, e))
+        mask = np.array([True, True, False, False, True, True, True])
+        for factors in (PoolFactors(1, 1), PoolFactors(s_q=2, s_k=2)):
+            counts = []
+            for heads in (1, 4):
+                with Tape() as tape:
+                    multi_head_pooled(x, params_for(60, e, heads), factors, mask)
+                counts.append(len(tape._records))
+            assert counts[0] == counts[1], f"records per heads (1, 4): {counts}"
 
     def test_masked_multi_head_pooled_finite(self):
         e = 8

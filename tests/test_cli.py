@@ -110,9 +110,11 @@ class TestPretrainCommand:
         assert run("pretrain", str(tmp_path / "absent.cfg")) == 2
 
     def test_missing_dataset_path_names_it(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "run.cfg", dataset="synthetic-symbols")
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "run.cfg", dataset="synthetic-symbols", output_dir=out)
         assert run("pretrain", str(cfg)) == 2
         assert "synthetic-sines" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output is written
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -173,6 +175,15 @@ class TestFinetuneAndDecode:
             fh.writeframes(b"\x00\x00" * 200)
         assert run("decode", str(finetuned), str(path)) == 2
         assert "16000" in capsys.readouterr().err
+
+    def test_decode_truncated_checkpoint_exits_two(self, finetuned, tmp_path, capsys):
+        cut = tmp_path / "cut.stpl"
+        blob = finetuned.read_bytes()
+        cut.write_bytes(blob[:len(blob) // 2])
+        wav = tmp_path / "a.wav"
+        write_wav(wav, synth_audio(3))
+        assert run("decode", str(cut), str(wav)) == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_decode_without_head_rejected(self, tmp_path, capsys):
         pre_cfg = write_cfg(tmp_path / "p.cfg", output_dir=tmp_path / "pre", steps=2)

@@ -256,6 +256,21 @@ class TestCheckpoint:
         with pytest.raises(InputError, match="magic"):
             load_checkpoint(path)
 
+    def test_truncated_or_padded_file_rejected(self, tmp_path):
+        path = tmp_path / "small.stpl"
+        params = {"head.weight": rand(30, 3, 2), "head.bias": rand(31, 1, 2).ravel()}
+        save_checkpoint(path, preset("tiny"), params, meta={"phase": "finetune"})
+        blob = path.read_bytes()
+        assert set(load_checkpoint(path).params) == set(params)
+        cut = tmp_path / "cut.stpl"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(InputError):
+                load_checkpoint(cut)
+        cut.write_bytes(blob + b"\x00")
+        with pytest.raises(InputError, match="trailing"):
+            load_checkpoint(cut)
+
     def test_missing_parameter_rejected(self):
         model = EncoderModel(preset("tiny"), seed=28)
         partial = dict(list(model.params.items())[:-1])
