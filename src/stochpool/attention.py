@@ -2,10 +2,12 @@
 
 Every attention call runs one tape op over (H, T, d) views of the
 projected queries, keys and values: a batched matmul for the logits, then
-scale, key mask, max shift, exp and normalisation in place in that single
-(H, Tq, Tk) buffer, then a batched matmul with the values. Its backward is
-written by hand, and it reports its multiply-accumulates to the active
-counter like ``matmul`` does. Single-head attention is the H = 1 case.
+scale, key mask, max shift and exp in place in that single (H, Tq, Tk)
+buffer, then a batched matmul with the values. The (H, Tq, d_v) product is
+divided by the row sums of the weights; the (H, Tq, Tk) weights themselves
+are normalised only when a tape runs the backward, which is written by
+hand. The op reports its multiply-accumulates to the active counter like
+``matmul`` does. Single-head attention is the H = 1 case.
 
 The pooled form shrinks the computation without touching any parameters:
 queries are mean-pooled by ``s_q`` and keys/values jointly by ``s_k``
@@ -24,7 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
 from .pooling import downsample, masked_downsample, upsample
-from .tensor import Tensor, _active_macs, _wrap, as_tensor, mac_scope, matmul
+from .tensor import (Tensor, _active_macs, _merge_groups, _split_groups, _wrap, as_tensor,
+                     mac_scope, matmul)
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,6 @@ class AttentionParams:
         return self.w_q.shape[0]
 
 
-def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(T, H*d) -> (H, T, d) view."""
-    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
-
-
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """(H, T, d) -> (T, H*d); a view when H == 1."""
-    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
-
-
 def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
     """softmax(q k^T / sqrt(d) + key mask) v for each head, as one tape op."""
     tq, tk = q.shape[0], k.shape[0]
@@ -84,28 +77,32 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
     macs = _active_macs()
     if macs is not None:
         macs.add(heads * tq * tk * (d + v.shape[1] // heads))
-    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    qh, kh, vh = (_split_groups(t.data, heads) for t in (q, k, v))
     c = 1.0 / math.sqrt(d)
-    # the one (H, Tq, Tk) buffer: logits, then probabilities, in place
+    # the one (H, Tq, Tk) buffer: logits, then unnormalised weights, in place
     p = qh @ kh.transpose(0, 2, 1)
     p *= c
     if mask is not None and not mask.all():
         p += np.where(mask, 0.0, -np.inf).astype(p.dtype)
     p -= p.max(axis=2, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=2, keepdims=True)
+    row_sums = p.sum(axis=2, keepdims=True)
+    oh = p @ vh
+    oh /= row_sums  # normalise the (H, Tq, d_v) output, not the weights
 
     def bwd(g):
-        gh = _split_heads(g, heads)
+        np.divide(p, row_sums, out=p)  # the weights are needed only here
+        gh = _split_groups(g, heads)
         dv = p.transpose(0, 2, 1) @ gh
         ds = gh @ vh.transpose(0, 2, 1)
-        ds -= (ds * p).sum(axis=2, keepdims=True)
+        # sum_k p_k (g . v_k) = g . out, so the row term needs no (H, Tq, Tk) product
+        ds -= (gh * oh).sum(axis=2, keepdims=True)
         ds *= p
         ds *= c
-        return (_merge_heads(ds @ kh), _merge_heads(ds.transpose(0, 2, 1) @ qh),
-                _merge_heads(dv))
+        return (_merge_groups(ds @ kh), _merge_groups(ds.transpose(0, 2, 1) @ qh),
+                _merge_groups(dv))
 
-    return _wrap(_merge_heads(p @ vh), (q, k, v), bwd)
+    return _wrap(_merge_groups(oh), (q, k, v), bwd)
 
 
 def attend(q, k, v, mask=None, heads: int = 1) -> Tensor:

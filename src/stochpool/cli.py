@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from . import pooling
 from .cost_model import analytic_cost, sweep, write_csv, write_json
@@ -26,8 +23,7 @@ from .encoder import EncoderModel, load_checkpoint, preset, save_checkpoint
 from .errors import ConfigError, InputError, StochpoolError
 from .runconfig import RunConfig, apply_overrides, echo_effective_config, load_config
 from .stochastic import FactorSets, fixed_config, parse_triplet
-from .tensor import Tensor, add, matmul
-from .training import TrainPlan, finetune, make_head, pretrain_toy, write_train_log
+from .training import TrainPlan, apply_head, finetune, pretrain_toy, write_train_log
 from .verify import run_checks
 
 
@@ -146,6 +142,13 @@ def _model_from(rc: RunConfig):
     return EncoderModel(preset(rc.preset), seed=rc.seed), {}, {}
 
 
+def _head_from(extras: dict):
+    """The output head among a checkpoint's extra parameters, or None."""
+    if "head.weight" in extras and "head.bias" in extras:
+        return {name: extras[name] for name in ("head.weight", "head.bias")}
+    return None
+
+
 def _labeled_datasets(rc: RunConfig, model_dim: int):
     if rc.dataset == "synthetic-symbols":
         train = SymbolFeatureDataset(rc.dataset_size, model_dim, vocab=rc.vocab_size,
@@ -209,10 +212,7 @@ def cmd_finetune(args) -> int:
     plan = _plan(rc, "ctc", model.config.depth)
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)
-    head = None
-    if "head.weight" in extras and "head.bias" in extras:
-        head = {"head.weight": extras["head.weight"], "head.bias": extras["head.bias"]}
-    result = finetune(model, plan, train, vocab, val_dataset=val, head=head)
+    result = finetune(model, plan, train, vocab, val_dataset=val, head=_head_from(extras))
     write_train_log(out / "train_log.jsonl", result.log)
     meta = {"phase": "finetune", "preset": rc.preset, "seed": rc.seed, "mode": rc.mode,
             "vocab_size": vocab}
@@ -236,9 +236,7 @@ def cmd_sweep(args) -> int:
     if rc.checkpoint:
         ck = load_checkpoint(rc.checkpoint)
         model, extras = ck.build_model()
-        head = None
-        if "head.weight" in extras:
-            head = {"head.weight": extras["head.weight"], "head.bias": extras["head.bias"]}
+        head = _head_from(extras)
         vocab = ck.meta.get("vocab_size", rc.vocab_size)
     else:
         model = EncoderModel(preset(rc.preset), seed=rc.seed)
@@ -289,9 +287,9 @@ def cmd_cost(args) -> int:
 def cmd_decode(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     model, extras = ck.build_model()
-    if "head.weight" not in extras:
+    head = _head_from(extras)
+    if head is None:
         raise InputError(f"{args.checkpoint}: no output head; fine-tune before decoding")
-    head = {"head.weight": extras["head.weight"], "head.bias": extras["head.bias"]}
     s_f, s_k, s_q = parse_triplet(args.config)
     config = fixed_config(s_f, s_k, s_q, model.config.depth)
     inverse = {int(i): tok for tok, i in ck.meta.get("token_vocab", {}).items()}
@@ -300,9 +298,7 @@ def cmd_decode(args) -> int:
     for path in args.audio:
         audio = read_wav(path)
         feats = model.extract_features(audio)
-        logits = add(matmul(model.forward(feats, config), head["head.weight"]),
-                     head["head.bias"])
-        ids = greedy_decode(logits)
+        ids = greedy_decode(apply_head(model.forward(feats, config), head))
         rendered = " ".join(inverse.get(i, str(i)) for i in ids)
         print(f"{path}\t{rendered}")
     return 0

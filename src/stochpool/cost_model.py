@@ -19,11 +19,14 @@ pass, runs strictly serially, and is done on a float32 copy of the model.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import gc
 import json
-import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,22 +34,14 @@ from .ctc import greedy_decode
 from .encoder import EncoderConfig, EncoderModel, FeatureExtractorConfig
 from .errors import ConfigError, InputError
 from .stochastic import CompressionConfig
-from .tensor import Tensor, add, count_macs, matmul
+from .tensor import Tensor, count_macs
+from .training import apply_head, evaluate
 
 CSV_HEADER = ("config,preset,frames,macs_total,macs_attn_scores,macs_attn_proj,"
               "macs_ffn,macs_fe,macs_upsample,wall_ms_median,wall_ms_min,"
               "wall_ms_max,symbol_error")
 
 MIN_TIMER_TICKS = 100
-
-
-def worker_count() -> int:
-    """Worker cap from STOCHPOOL_THREADS (default 1)."""
-    raw = os.environ.get("STOCHPOOL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"STOCHPOOL_THREADS must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -202,21 +197,58 @@ def _median_min_max(values):
     return (float(np.median(values)), float(min(values)), float(max(values)))
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship it as ``numpy.libs/libscipy_openblas64_*.so``;
+    loading that file again returns the library numpy already uses.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        return get_threads, set_threads
+    return None
+
+
+@contextmanager
 def _pinned_to_one_worker():
     """Limit BLAS thread pools to one worker for the timed region.
 
     Measurement runs in a single execution context; multi-threaded GEMM
     adds scheduler jitter that can swamp small configuration deltas.
-    Falls back to a no-op when threadpoolctl is unavailable.
+    Uses threadpoolctl when it is installed, else numpy's bundled OpenBLAS
+    through ctypes, restoring the previous count on exit; a no-op when
+    neither is available.
     """
     try:
         from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=1)
     except ImportError:
-        from contextlib import nullcontext
-
-        return nullcontext()
+        threadpool_limits = None
+    if threadpool_limits is not None:
+        with threadpool_limits(limits=1):
+            yield
+        return
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 def measure(model: EncoderModel, config: CompressionConfig, dataset,
@@ -268,9 +300,7 @@ def measure(model: EncoderModel, config: CompressionConfig, dataset,
                     decode_times = []
                     for _ in range(repeats):
                         t0 = time.perf_counter_ns()
-                        logits = add(matmul(encoded, head32["head.weight"]),
-                                     head32["head.bias"])
-                        greedy_decode(logits)
+                        greedy_decode(apply_head(encoded, head32))
                         decode_times.append(time.perf_counter_ns() - t0)
                     decode_meds.append(float(np.median(decode_times)))
     finally:
@@ -305,23 +335,10 @@ def sweep(model: EncoderModel, configs, dataset, preset: str = "custom",
         else:
             frame_lengths.append(model.fe.frames_for_samples(utt.audio.size))
         labeled = labeled and utt.labels is not None
-    # Analytic reports are pure functions of the config, so they may be
-    # computed in parallel (capped by STOCHPOOL_THREADS); timing never is.
-    workers = min(worker_count(), len(configs))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            analytic_reports = list(pool.map(
-                lambda cfg: analytic_cost_dataset(cfg, model.config, frame_lengths,
-                                                  preset=preset, from_audio=from_audio),
-                configs))
-    else:
-        analytic_reports = [analytic_cost_dataset(cfg, model.config, frame_lengths,
-                                                  preset=preset, from_audio=from_audio)
-                            for cfg in configs]
     reports = []
-    for config, report in zip(configs, analytic_reports):
+    for config in configs:
+        report = analytic_cost_dataset(config, model.config, frame_lengths,
+                                       preset=preset, from_audio=from_audio)
         if measure_time:
             timed = measure(model, config, dataset, repeats=repeats, head=head)
             report.wall_ms_median = timed.wall_ms_median
@@ -330,8 +347,6 @@ def sweep(model: EncoderModel, configs, dataset, preset: str = "custom",
             report.decode_ms_median = timed.decode_ms_median
             report.timer_flagged = timed.timer_flagged
         if labeled and head is not None:
-            from .training import evaluate
-
             report.symbol_error = evaluate(model, head, config, dataset).symbol_error
         reports.append(report)
     return reports

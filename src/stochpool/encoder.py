@@ -298,16 +298,18 @@ class EncoderModel:
 
     def extract_features(self, audio) -> Tensor:
         """Raw 16 kHz audio -> 50 Hz frames projected to model width."""
-        audio = np.asarray(audio, dtype=np.float64)
+        audio = np.asarray(audio)
         if audio.ndim != 1:
             raise InputError(f"audio must be a 1-D sample array, got shape {audio.shape}")
         rf = self.fe.receptive_field
         if audio.size < rf:
             raise InputError(f"audio of {audio.size} samples is shorter than the "
                              f"receptive field ({rf} samples)")
-        # per-utterance normalization keeps conv activations in range
-        centered = audio - audio.mean()
-        normed = centered / np.sqrt(centered.var() + 1e-8)
+        # per-utterance normalization keeps conv activations in range; one
+        # float64 working copy, normalised in place
+        normed = np.array(audio, dtype=np.float64)
+        normed -= normed.mean()
+        normed /= np.sqrt(normed.var() + 1e-8)
         x = Tensor(normed.reshape(-1, 1), dtype=self.dtype)
         p = self.params
         with mac_scope("fe"):
@@ -327,8 +329,7 @@ class EncoderModel:
                           stride=1, groups=cfg.pos_conv_groups)
         return add(x, gelu(conv))
 
-    def forward(self, features, config: CompressionConfig, valid=None,
-                _drop_final_residual: bool = False) -> Tensor:
+    def forward(self, features, config: CompressionConfig, valid=None) -> Tensor:
         """Encode a T x E feature sequence at one compression configuration.
 
         Output length always equals input length; ``valid`` optionally
@@ -364,7 +365,6 @@ class EncoderModel:
         x = self._positional(x)
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
-        last = cfg.depth - 1
         for i, (s_k, s_q) in enumerate(config.per_layer):
             attn_out = multi_head_pooled(x, self._attn_params(i),
                                          PoolFactors(s_q=s_q, s_k=s_k), v)
@@ -373,11 +373,7 @@ class EncoderModel:
             with mac_scope("ffn"):
                 h = gelu(add(matmul(x, p[f"layer{i}.ffn.w1"]), p[f"layer{i}.ffn.b1"]))
                 h = add(matmul(h, p[f"layer{i}.ffn.w2"]), p[f"layer{i}.ffn.b2"])
-            if _drop_final_residual and i == last:
-                x = layer_norm(h, p[f"layer{i}.norm2.gamma"], p[f"layer{i}.norm2.beta"])
-            else:
-                x = layer_norm(add(x, h),
-                               p[f"layer{i}.norm2.gamma"], p[f"layer{i}.norm2.beta"])
+            x = layer_norm(add(x, h), p[f"layer{i}.norm2.gamma"], p[f"layer{i}.norm2.beta"])
         if config.s_f > 1:
             x = upsample(x, config.s_f, truncate_to=t_in)
             with mac_scope("upsample"):

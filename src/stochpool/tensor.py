@@ -11,6 +11,13 @@ Broadcasting is restricted to bias-add over rows; every other shape
 mismatch is an error. ``matmul`` and ``conv1d`` report their
 multiply-accumulate counts to an active :class:`MacCounter`, which is how
 the cost model's instrumented oracle works.
+
+The row-wise ops write into the buffers they return or keep for their
+backward rather than into fresh temporaries: ``gelu`` fills two,
+``layer_norm`` centres each row once. ``conv1d`` is one GEMM per group
+over a strided view of its input (every output frame's window is one row
+of the view); the only window copy is the packed one numpy hands to
+BLAS, as overlapping rows are not a valid BLAS matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError, UsageError
 
@@ -182,7 +189,10 @@ class Tape:
             raise UsageError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
         grads = {loss.grad_id: np.ones((), dtype=loss.data.dtype)}
-        for out_id, input_ids, backward_fn in reversed(self._records):
+        records, self._records = self._records, []
+        while records:
+            # popping frees each op's saved values as soon as its backward ran
+            out_id, input_ids, backward_fn = records.pop()
             g = grads.pop(out_id, None)
             if g is None:
                 continue  # output never reached the loss
@@ -191,7 +201,6 @@ class Tape:
                     continue
                 acc = grads.get(in_id)
                 grads[in_id] = in_grad if acc is None else acc + in_grad
-        self._records = []
         return GradientMap(grads)
 
 
@@ -275,6 +284,16 @@ def _wrap(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
+def _split_groups(a: np.ndarray, groups: int) -> np.ndarray:
+    """(T, G*c) -> (G, T, c) view: column groups (heads, conv groups) as a batch."""
+    return a.reshape(a.shape[0], groups, -1).transpose(1, 0, 2)
+
+
+def _merge_groups(a: np.ndarray) -> np.ndarray:
+    """(G, T, c) -> (T, G*c); a view when G == 1."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -350,17 +369,29 @@ def scale(a, c) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """GELU in its tanh form."""
+    """GELU in its tanh form: 0.5 x (1 + tanh(c (x + a x^3))).
+
+    The forward fills two buffers in place: ``s = 1 + tanh(...)``, kept
+    for the backward, and the output. It rounds exactly as the formula
+    written out with temporaries does.
+    """
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(inner)
+    s = x * x
+    s *= x
+    s *= _GELU_A
+    s += x
+    s *= _GELU_C
+    np.tanh(s, out=s)
+    s += 1.0
+    y = np.multiply(x, 0.5)
+    y *= s
 
     def bwd(g):
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * d,)
+        # d/dx = 0.5 (s + x c (1 + 3 a x^2) (1 - t^2)), where 1 - t^2 = (2 - s) s
+        return (0.5 * g * (s + x * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x) * (2.0 - s) * s),)
 
-    return _wrap(0.5 * x * (1.0 + t), (a,), bwd)
+    return _wrap(y, (a,), bwd)
 
 
 def relu(a) -> Tensor:
@@ -510,11 +541,13 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"got {gamma.shape} and {beta.shape}"
         )
     x = a.data
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mu) * inv
+    y = x - x.mean(axis=1, keepdims=True)
+    out = np.multiply(y, y)  # scratch for the squares, then the output
+    inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + eps)
+    y *= inv
     gd = gamma.data
+    np.multiply(y, gd, out=out)
+    out += beta.data
 
     def bwd(g):
         dgamma = (g * y).sum(axis=0)
@@ -523,7 +556,7 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
         dx = inv * (dy - dy.mean(axis=1, keepdims=True) - y * (dy * y).mean(axis=1, keepdims=True))
         return dx, dgamma, dbeta
 
-    return _wrap(y * gd + beta.data, (a, gamma, beta), bwd)
+    return _wrap(out, (a, gamma, beta), bwd)
 
 
 def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
@@ -531,6 +564,13 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
 
     ``a`` is (L, C_in), ``w`` is (C_out, C_in // groups, k); output length
     is floor((L - k) / stride) + 1. No implicit padding.
+
+    With the input laid out group-major as (G, L, C_in/G), output frame t
+    of a group reads k * C_in/G consecutive values from frame t * stride,
+    so the windows are the rows of a strided view of the input and each
+    group's forward is one GEMM with tap-major weights. The backward gets
+    dw from the same view, one GEMM per group, and scatters dx with k
+    strided adds over all channels.
     """
     a, w = as_tensor(a), as_tensor(w)
     if a.ndim != 2 or w.ndim != 3:
@@ -554,26 +594,34 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
     if macs is not None:
         macs.add(l_out * c_out * c_in_g * k)
 
-    windows = sliding_window_view(a.data, k, axis=0)[::stride]  # (l_out, C_in, k)
-    out = np.empty((l_out, c_out), dtype=a.data.dtype)
+    # group-major input (G, L, C_in_g): a view when groups == 1, else one copy
     co_g = c_out // groups
-    for g_idx in range(groups):
-        cs, ce = g_idx * c_in_g, (g_idx + 1) * c_in_g
-        os, oe = g_idx * co_g, (g_idx + 1) * co_g
-        out[:, os:oe] = np.tensordot(windows[:, cs:ce, :], w.data[os:oe], ([1, 2], [1, 2]))
+    xg = np.ascontiguousarray(a.data.reshape(length, groups, c_in_g).transpose(1, 0, 2))
+    item = xg.itemsize
+    rows = as_strided(xg, (groups, l_out, k * c_in_g),
+                      (xg.strides[0], stride * c_in_g * item, item), writeable=False)
     wd = w.data
+
+    def tap_major(gi):
+        """Group gi's weights as (k * C_in_g, C_out_g), ordered like a window."""
+        return wd[gi * co_g:(gi + 1) * co_g].transpose(2, 1, 0).reshape(k * c_in_g, co_g)
+
+    out = np.empty((l_out, c_out), dtype=a.data.dtype)
+    for gi in range(groups):
+        np.matmul(rows[gi], tap_major(gi), out=out[:, gi * co_g:(gi + 1) * co_g])
 
     def bwd(g):
         dw = np.empty_like(wd)
-        dx = np.zeros((length, c_in), dtype=g.dtype)
+        contrib = np.empty((l_out, groups, k * c_in_g), dtype=g.dtype)
         for gi in range(groups):
-            cs, ce = gi * c_in_g, (gi + 1) * c_in_g
-            os, oe = gi * co_g, (gi + 1) * co_g
-            dw[os:oe] = np.tensordot(g[:, os:oe], windows[:, cs:ce, :], ([0], [0]))
-            # (l_out, C_in_g, k) contributions scattered back over windows
-            contrib = np.tensordot(g[:, os:oe], wd[os:oe], ([1], [0]))
-            for j in range(k):
-                dx[j:j + stride * l_out:stride, cs:ce] += contrib[:, :, j]
-        return dx, dw
+            cols = slice(gi * co_g, (gi + 1) * co_g)
+            dw[cols] = (rows[gi].T @ g[:, cols]).reshape(k, c_in_g, co_g).transpose(2, 1, 0)
+            np.matmul(g[:, cols], tap_major(gi).T, out=contrib[:, gi])
+        # tap j of window t lands on frame t * stride + j, for all channels at once
+        dx = np.zeros((length, groups, c_in_g), dtype=g.dtype)
+        taps = contrib.reshape(l_out, groups, k, c_in_g)
+        for j in range(k):
+            dx[j:j + stride * (l_out - 1) + 1:stride] += taps[:, :, j]
+        return dx.reshape(length, c_in), dw
 
     return _wrap(out, (a, w), bwd)

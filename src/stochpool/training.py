@@ -316,6 +316,11 @@ def make_head(model_dim: int, vocab: int, seed: int, dtype=np.float64) -> dict:
             "head.bias": Tensor(np.zeros(vocab + 1), dtype=dtype)}
 
 
+def apply_head(encoded: Tensor, head: dict) -> Tensor:
+    """Per-frame label logits: the linear output head over encoder output."""
+    return add(matmul(encoded, head["head.weight"]), head["head.bias"])
+
+
 def finetune(model: EncoderModel, plan: TrainPlan, dataset, vocab: int,
              val_dataset=None, head: dict | None = None) -> TrainResult:
     """CTC fine-tuning with a linear head on top of the encoder.
@@ -334,8 +339,7 @@ def finetune(model: EncoderModel, plan: TrainPlan, dataset, vocab: int,
 
     def logits_for(utt, config):
         features = _utterance_features(model, utt, plan.freeze_extractor)
-        encoded = model.forward(features, config)
-        return add(matmul(encoded, head["head.weight"]), head["head.bias"])
+        return apply_head(model.forward(features, config), head)
 
     def loss_fn(utt, config, step, slot):
         if utt.labels is None:
@@ -387,8 +391,7 @@ def evaluate(model: EncoderModel, head: dict, config: CompressionConfig,
             raise InputError("evaluate requires labeled utterances")
         started = time.perf_counter()
         features = _utterance_features(model, utt, freeze_extractor=False)
-        encoded = model.forward(features, config)
-        logits = add(matmul(encoded, head["head.weight"]), head["head.bias"])
+        logits = apply_head(model.forward(features, config), head)
         hyp = greedy_decode(logits)
         wall += 1000.0 * (time.perf_counter() - started)
         try:

@@ -225,19 +225,6 @@ class TestSweepCommand:
         assert len(rows) == 4
         assert all(r["symbol_error"] is not None for r in rows)  # trade-off pairs
 
-    def test_worker_cap_env_var(self, tmp_path, monkeypatch):
-        from stochpool.cost_model import worker_count
-        from stochpool.errors import ConfigError as CE
-
-        monkeypatch.setenv("STOCHPOOL_THREADS", "2")
-        assert worker_count() == 2
-        cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out",
-                        frames=30, utterances=1)
-        assert run("sweep", str(cfg), "--no-measure") == 0  # parallel analytic path
-        monkeypatch.setenv("STOCHPOOL_THREADS", "many")
-        with pytest.raises(CE):
-            worker_count()
-
 
 class TestCostCommand:
     def test_cost_table(self, capsys):

@@ -9,6 +9,8 @@ import pytest
 from stochpool.cost_model import (
     CSV_HEADER,
     CostReport,
+    _openblas_threads,
+    _pinned_to_one_worker,
     analytic_cost,
     analytic_cost_dataset,
     instrumented_macs,
@@ -141,6 +143,22 @@ class TestMeasure:
         model = EncoderModel(preset("tiny"), seed=0)
         with pytest.raises(InputError):
             measure(model, fixed_config(1, 1, 1, 2), Empty(), repeats=3)
+
+    def test_blas_pinned_inside_and_restored_after(self):
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy has no bundled OpenBLAS in this environment")
+        get_threads, set_threads = blas
+        before = get_threads()
+        set_threads(2)
+        try:
+            with _pinned_to_one_worker():
+                inside = get_threads()
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert inside == 1
+        assert after == 2
 
 
 class TestSweep:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochpool import encoder as encoder_module
 from stochpool.attention import PoolFactors, multi_head_pooled
 from stochpool.encoder import (
     EncoderConfig,
@@ -155,12 +156,32 @@ class TestForward:
         assert np.array_equal(model.forward(feats, config).data,
                               model.forward(feats, config).data)
 
-    def test_post_ln_residual_guard(self):
+    def test_post_ln_residual_guard(self, monkeypatch):
         model = EncoderModel(preset("tiny"), seed=17)
         feats = rand(18, 10, 64)
         config = fixed_config(1, 1, 1, 2)
         normal = model.forward(feats, config).data
-        hacked = model.forward(feats, config, _drop_final_residual=True).data
+        real_add = encoder_module.add
+        calls = []
+
+        def counting_add(a, b):
+            calls.append((a.shape, b.shape))
+            return real_add(a, b)
+
+        monkeypatch.setattr(encoder_module, "add", counting_add)
+        model.forward(feats, config)
+        # without squeezing, the last add is the final layer's x + FFN(x)
+        final = len(calls)
+        assert calls[-1] == ((10, 64), (10, 64))
+
+        def dropping_add(a, b):
+            calls.append(None)
+            return b if len(calls) == final else real_add(a, b)
+
+        calls.clear()
+        monkeypatch.setattr(encoder_module, "add", dropping_add)
+        hacked = model.forward(feats, config).data
+        assert len(calls) == final
         assert np.abs(normal - hacked).max() > 1e-6
 
 

@@ -290,3 +290,135 @@ class TestMacCounter:
             x = Tensor(np.ones((8, 8)))
             softmax_rows(layer_norm(mul(x, x), Tensor(np.ones(8)), Tensor(np.zeros(8))))
         assert counter.total == 0
+
+
+def conv1d_loop(x, w, stride, groups):
+    """Naive oracle: each output frame and channel as its own window sum."""
+    c_out, c_in_g, k = w.shape
+    l_out = (x.shape[0] - k) // stride + 1
+    co_g = c_out // groups
+    out = np.zeros((l_out, c_out), dtype=np.float64)
+    for t in range(l_out):
+        window = x[t * stride:t * stride + k].astype(np.float64)  # (k, C_in)
+        for o in range(c_out):
+            g = o // co_g
+            out[t, o] = np.sum(window[:, g * c_in_g:(g + 1) * c_in_g].T * w[o])
+    return out
+
+
+# (L, C_in, C_out, k, stride, groups): the compact feature extractor's layers
+# at 4 base channels (the first with C_in = 1), the positional conv (groups 4,
+# k 15), and lengths where (L - k) % stride != 0
+CONV_SHAPES = [
+    (203, 1, 4, 10, 5, 1),
+    (40, 4, 4, 3, 2, 1),
+    (19, 4, 8, 3, 2, 1),
+    (12, 8, 8, 3, 2, 1),
+    (9, 8, 16, 3, 2, 1),
+    (8, 16, 16, 2, 2, 1),
+    (5, 16, 32, 2, 2, 1),
+    (30, 16, 16, 15, 1, 4),
+    (31, 6, 9, 4, 3, 3),
+    (17, 4, 6, 4, 4, 2),
+]
+
+
+def gelu_formula(x):
+    """GELU written out with temporaries, the oracle for the in-place forward."""
+    inner = 0.7978845608028654 * (x + 0.044715 * (x * x * x))
+    t = np.tanh(inner)
+    y = 0.5 * x * (1.0 + t)
+
+    def grad(g):
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * 0.7978845608028654
+                    * (1.0 + 3.0 * 0.044715 * x * x))
+
+    return y, grad
+
+
+def layer_norm_formula(x, gamma, beta, eps=1e-5):
+    """Layer norm written out with temporaries, the oracle for the in-place forward."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (x - mu) * inv
+
+    def grad(g):
+        dy = g * gamma
+        dx = inv * (dy - dy.mean(axis=1, keepdims=True)
+                    - y * (dy * y).mean(axis=1, keepdims=True))
+        return dx, (g * y).sum(axis=0), g.sum(axis=0)
+
+    return y * gamma + beta, grad
+
+
+def tape_grads(fn, arrays, upstream):
+    tensors = [Tensor(a) for a in arrays]
+    with Tape():
+        loss = sum_all(mul(fn(*tensors), Tensor(upstream)))
+    grads = backward(loss)
+    return [grads[t] for t in tensors]
+
+
+class TestConv1dOracle:
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_against_frame_loop(self, shape, dtype):
+        length, c_in, c_out, k, stride, groups = shape
+        x = rand(100 + length, length, c_in)
+        w = rand(200 + k, c_out, c_in // groups, k) / np.sqrt(k * c_in // groups)
+        got = conv1d(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype), stride=stride,
+                     groups=groups)
+        want = conv1d_loop(x.astype(dtype), w.astype(dtype), stride, groups)
+        assert got.dtype == dtype
+        assert got.shape == want.shape == ((length - k) // stride + 1, c_out)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert np.abs(got.data - want).max() < tol
+
+    @pytest.mark.parametrize("stride,groups", [(2, 1), (3, 3), (2, 2), (1, 4)])
+    def test_dx_and_dw_pass_fd(self, stride, groups):
+        x = rand(300 + stride, 14, 12)
+        w = rand(310 + groups, 12, 12 // groups, 3)
+        target = rand(320, (14 - 3) // stride + 1, 12)
+        check_gradients(lambda a, b: sum_all(mul(conv1d(a, b, stride=stride, groups=groups),
+                                                 Tensor(target))), [x, w])
+
+
+class TestInPlaceElementwise:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_forward_bit_identical_to_formula(self, dtype):
+        x = (rand(400, 64, 48) * 3).astype(dtype)
+        want, _ = gelu_formula(x)
+        assert np.array_equal(gelu(Tensor(x)).data, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_forward_bit_identical_to_formula(self, dtype):
+        x = (rand(401, 64, 48) * 2 + 1).astype(dtype)
+        gamma = (1.0 + 0.3 * rand(402, 48)).astype(dtype)
+        beta = (0.3 * rand(403, 48)).astype(dtype)
+        want, _ = layer_norm_formula(x, gamma, beta)
+        got = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+    def test_gelu_backward_matches_formula(self):
+        x, g = rand(404, 20, 16) * 3, rand(405, 20, 16)
+        _, grad = gelu_formula(x)
+        (got,) = tape_grads(gelu, [x], g)
+        assert np.abs(got - grad(g)).max() < 1e-12
+
+    def test_layer_norm_backward_matches_formula(self):
+        x, g = rand(406, 20, 16) * 2 + 1, rand(407, 20, 16)
+        gamma, beta = 1.0 + 0.3 * rand(408, 16), 0.3 * rand(409, 16)
+        _, grad = layer_norm_formula(x, gamma, beta)
+        got = tape_grads(layer_norm, [x, gamma, beta], g)
+        for a, b in zip(got, grad(g)):
+            assert np.abs(a - b).max() < 1e-12
+
+    def test_inputs_not_written(self):
+        x = rand(410, 6, 5)
+        before = x.copy()
+        gelu(Tensor(x))
+        layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5)))
+        conv1d(Tensor(x), Tensor(rand(411, 4, 5, 2)))
+        assert np.array_equal(x, before)
