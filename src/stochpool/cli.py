@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import pooling
@@ -162,13 +163,33 @@ def _labeled_datasets(rc: RunConfig, model_dim: int):
     return train, None, len(train.vocab), train.vocab
 
 
+@contextmanager
+def _upsample_ignoring_truncation():
+    """Swap in an ``upsample`` that ignores ``truncate_to`` wherever stochpool
+    modules look it up, so pooled outputs lose their original length: the
+    fault that ``verify --inject-fault upsample-truncation`` must detect."""
+    real = pooling.upsample
+
+    def faulty(x, factor, truncate_to=None):
+        return real(x, factor)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("stochpool") and getattr(m, "upsample", None) is real]
+    for module in modules:
+        module.upsample = faulty
+    try:
+        yield
+    finally:
+        for module in modules:
+            module.upsample = real
+
+
 def cmd_verify(args) -> int:
     if args.inject_fault == "upsample-truncation":
-        pooling._FAULT_DISABLE_TRUNCATION = True
-    try:
+        with _upsample_ignoring_truncation():
+            results = run_checks(args.filter, seed=args.seed)
+    else:
         results = run_checks(args.filter, seed=args.seed)
-    finally:
-        pooling._FAULT_DISABLE_TRUNCATION = False
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return 2

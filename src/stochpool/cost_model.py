@@ -122,15 +122,7 @@ def analytic_cost(config: CompressionConfig, enc_config: EncoderConfig, frames: 
     """
     if frames < 1:
         raise ConfigError(f"frames must be >= 1, got {frames}")
-    if config.depth != enc_config.depth:
-        raise ConfigError(f"config has {config.depth} layers, encoder depth is "
-                          f"{enc_config.depth}")
-    if config.s_f > enc_config.max_squeeze:
-        raise ConfigError(f"squeeze factor {config.s_f} exceeds ceiling "
-                          f"{enc_config.max_squeeze}")
-    for s_k, s_q in config.per_layer:
-        if s_k > enc_config.max_kv_pool or s_q > enc_config.max_q_pool:
-            raise ConfigError(f"pooling factors ({s_k},{s_q}) exceed ceilings")
+    config.check_fits(enc_config)
 
     e = enc_config.model_dim
     report = CostReport(config.describe(), preset, frames)

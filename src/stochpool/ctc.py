@@ -34,7 +34,9 @@ def min_frames(labels) -> int:
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    norm = np.exp(shifted).sum(axis=1, keepdims=True)
+    shifted -= np.log(norm, out=norm)
+    return shifted
 
 
 def ctc_loss(logits, labels) -> Tensor:
@@ -59,25 +61,27 @@ def ctc_loss(logits, labels) -> Tensor:
     z = np.zeros(2 * len(labels) + 1, dtype=np.int64)
     z[1::2] = labels
     s_len = len(z)
-    # skip transition s-2 -> s exists iff z[s] is a real label differing from z[s-2]
-    skip_ok = np.zeros(s_len, dtype=bool)
-    if s_len >= 3:
-        skip_ok[2::2] = False
-        skip_ok[3::2] = z[3::2] != z[1:-2:2]
+    em = lp[:, z]  # T x S emission log probabilities along the extended labels
     neg_inf = -np.inf
+    # hop[s] is 0 where the skip s-2 -> s exists (z[s] is a real label
+    # differing from z[s-2]) and -inf elsewhere, with two -inf guards behind
+    hop = np.full(s_len + 2, neg_inf)
+    hop[3:s_len:2][z[3::2] != z[1:-2:2]] = 0.0
+    skip = np.empty(s_len)
+    hop_in, hop_out = hop[:s_len], hop[2:]
 
-    alpha = np.full((t_len, s_len), neg_inf)
-    alpha[0, 0] = lp[0, z[0]]
-    if s_len > 1:
-        alpha[0, 1] = lp[0, z[1]]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        if s_len >= 3:
-            skip_terms = np.where(skip_ok[2:], prev[:-2], neg_inf)
-            acc[2:] = np.logaddexp(acc[2:], skip_terms)
-        alpha[t] = acc + lp[t, z]
+    # alpha[t, 2 + s]: two -inf guard columns in front stand in for the
+    # missing predecessors of states 0 and 1, so every frame is four
+    # full-row ufunc calls; log-adding -inf is exact
+    guarded = np.full((t_len, s_len + 2), neg_inf)
+    alpha = guarded[:, 2:]
+    alpha[0, :2] = em[0, :2]
+    for cur, stay, step, jump, e in zip(alpha[1:], alpha[:-1], guarded[:-1, 1:-1],
+                                        guarded[:-1, :-2], em[1:]):
+        np.logaddexp(stay, step, out=cur)
+        np.add(jump, hop_in, out=skip)
+        np.logaddexp(cur, skip, out=cur)
+        cur += e
 
     if s_len > 1:
         log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
@@ -86,24 +90,26 @@ def ctc_loss(logits, labels) -> Tensor:
 
     # beta excludes the emission at its own frame: beta[t, s] is the log
     # probability of finishing the path from state s using frames t+1..T-1.
+    # The successor row beta[t+1] + em[t+1] has two -inf guards behind.
     beta = np.full((t_len, s_len), neg_inf)
-    beta[-1, -1] = 0.0
-    if s_len > 1:
-        beta[-1, -2] = 0.0
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1] + lp[t + 1, z]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        if s_len >= 3:
-            skip_terms = np.where(skip_ok[2:], nxt[2:], neg_inf)
-            acc[:-2] = np.logaddexp(acc[:-2], skip_terms)
-        beta[t] = acc
+    beta[-1, max(0, s_len - 2):] = 0.0
+    nxt = np.full(s_len + 2, neg_inf)
+    here, next_one, next_two = nxt[:s_len], nxt[1:-1], nxt[2:]
+    for cur, later, e in zip(beta[-2::-1], beta[:0:-1], em[:0:-1]):
+        np.add(later, e, out=here)
+        np.logaddexp(here, next_one, out=cur)
+        np.add(next_two, hop_out, out=skip)
+        np.logaddexp(cur, skip, out=cur)
 
     # posterior over emitted symbols: sum_s exp(alpha + beta - log_p) per label id
-    occupancy = np.exp(alpha + beta - log_p)
+    occupancy = np.add(alpha, beta)
+    occupancy -= log_p
+    np.exp(occupancy, out=occupancy)
     posterior = np.zeros_like(lp)
     np.add.at(posterior.T, z, occupancy.T)
-    grad_logits = (np.exp(lp) - posterior).astype(logits.dtype)
+    grad_logits = np.exp(lp)
+    grad_logits -= posterior
+    grad_logits = grad_logits.astype(logits.dtype, copy=False)
 
     def bwd(g):
         return (g * grad_logits,)

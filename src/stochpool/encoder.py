@@ -339,16 +339,7 @@ class EncoderModel:
         cfg = self.config
         if x.ndim != 2 or x.shape[1] != cfg.model_dim:
             raise ShapeError(f"features must be T x {cfg.model_dim}, got {x.shape}")
-        if config.depth != cfg.depth:
-            raise ConfigError(f"config has {config.depth} layer entries, "
-                              f"encoder depth is {cfg.depth}")
-        if config.s_f > cfg.max_squeeze:
-            raise ConfigError(f"squeeze factor {config.s_f} exceeds ceiling {cfg.max_squeeze}")
-        for s_k, s_q in config.per_layer:
-            if s_k > cfg.max_kv_pool:
-                raise ConfigError(f"key-value pooling {s_k} exceeds ceiling {cfg.max_kv_pool}")
-            if s_q > cfg.max_q_pool:
-                raise ConfigError(f"query pooling {s_q} exceeds ceiling {cfg.max_q_pool}")
+        config.check_fits(cfg)
         if valid is not None:
             valid = np.asarray(valid, dtype=bool)
             if valid.shape != (x.shape[0],):

@@ -19,10 +19,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, _wrap, as_tensor
 
-# Test hook for the verification CLI's fault-injection mode. When set,
-# upsample ignores truncate_to, which breaks length preservation end to end.
-_FAULT_DISABLE_TRUNCATION = False
-
 
 def _check_factor(factor) -> int:
     factor = int(factor)
@@ -87,8 +83,6 @@ def upsample(x, factor, truncate_to=None) -> Tensor:
             )
     if factor == 1 and (truncate_to is None or truncate_to == n):
         return _identity(x)
-    if _FAULT_DISABLE_TRUNCATION:
-        truncate_to = None
     length = full if truncate_to is None else truncate_to
     out = np.repeat(x.data, factor, axis=0)[:length]
 

@@ -170,6 +170,21 @@ class CompressionConfig:
     def depth(self) -> int:
         return len(self.per_layer)
 
+    def check_fits(self, encoder) -> None:
+        """Raise ConfigError unless the config has one entry per layer of
+        ``encoder`` (an EncoderConfig) and stays within its squeeze and
+        per-layer pooling ceilings."""
+        if self.depth != encoder.depth:
+            raise ConfigError(f"config has {self.depth} layer entries, "
+                              f"encoder depth is {encoder.depth}")
+        if self.s_f > encoder.max_squeeze:
+            raise ConfigError(f"squeeze factor {self.s_f} exceeds ceiling {encoder.max_squeeze}")
+        for s_k, s_q in self.per_layer:
+            if s_k > encoder.max_kv_pool:
+                raise ConfigError(f"key-value pooling {s_k} exceeds ceiling {encoder.max_kv_pool}")
+            if s_q > encoder.max_q_pool:
+                raise ConfigError(f"query pooling {s_q} exceeds ceiling {encoder.max_q_pool}")
+
     def describe(self) -> str:
         """Render as "S_f-S_k-S_q"; per-layer lists when layers differ."""
         kvs = [k for k, _ in self.per_layer]

@@ -14,10 +14,12 @@ the cost model's instrumented oracle works.
 
 The row-wise ops write into the buffers they return or keep for their
 backward rather than into fresh temporaries: ``gelu`` fills two,
-``layer_norm`` centres each row once. ``conv1d`` is one GEMM per group
-over a strided view of its input (every output frame's window is one row
-of the view); the only window copy is the packed one numpy hands to
-BLAS, as overlapping rows are not a valid BLAS matrix.
+``layer_norm`` centres each row once, and both backwards run in two
+buffers, rounding exactly as their formulas written out do. ``conv1d``
+is one GEMM per group over a strided view of its input (every output
+frame's window is one row of the view); the only window copy is the
+contiguous one packed for each GEMM, as overlapping rows are not a valid
+BLAS matrix.
 """
 
 from __future__ import annotations
@@ -388,8 +390,20 @@ def gelu(a) -> Tensor:
     y *= s
 
     def bwd(g):
-        # d/dx = 0.5 (s + x c (1 + 3 a x^2) (1 - t^2)), where 1 - t^2 = (2 - s) s
-        return (0.5 * g * (s + x * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x) * (2.0 - s) * s),)
+        # d/dx = 0.5 g (s + x c (1 + 3 a x x) (2 - s) s), as 1 - t^2 = (2 - s) s;
+        # two buffers, each product and sum rounded as written left to right
+        dx = x * _GELU_C
+        tmp = x * (3.0 * _GELU_A)
+        tmp *= x
+        tmp += 1.0
+        dx *= tmp
+        np.subtract(2.0, s, out=tmp)
+        dx *= tmp
+        dx *= s
+        dx += s
+        np.multiply(g, 0.5, out=tmp)
+        dx *= tmp
+        return (dx,)
 
     return _wrap(y, (a,), bwd)
 
@@ -541,20 +555,29 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"got {gamma.shape} and {beta.shape}"
         )
     x = a.data
-    y = x - x.mean(axis=1, keepdims=True)
+    n = x.shape[1]
+    # a row mean is the row sum over n, which .mean() rounds to as well
+    y = x - x.sum(axis=1, keepdims=True) / n
     out = np.multiply(y, y)  # scratch for the squares, then the output
-    inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(out.sum(axis=1, keepdims=True) / n + eps)
     y *= inv
     gd = gamma.data
     np.multiply(y, gd, out=out)
     out += beta.data
 
     def bwd(g):
-        dgamma = (g * y).sum(axis=0)
+        # dx = inv (dy - mean(dy) - y mean(dy y)) with dy = g gamma, in two
+        # buffers; the scratch first holds g y for dgamma
+        scratch = g * y
+        dgamma = scratch.sum(axis=0)
         dbeta = g.sum(axis=0)
         dy = g * gd
-        dx = inv * (dy - dy.mean(axis=1, keepdims=True) - y * (dy * y).mean(axis=1, keepdims=True))
-        return dx, dgamma, dbeta
+        np.multiply(dy, y, out=scratch)
+        np.multiply(y, scratch.sum(axis=1, keepdims=True) / n, out=scratch)
+        dy -= dy.sum(axis=1, keepdims=True) / n
+        dy -= scratch
+        dy *= inv
+        return dy, dgamma, dbeta
 
     return _wrap(out, (a, gamma, beta), bwd)
 
@@ -606,16 +629,20 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
         """Group gi's weights as (k * C_in_g, C_out_g), ordered like a window."""
         return wd[gi * co_g:(gi + 1) * co_g].transpose(2, 1, 0).reshape(k * c_in_g, co_g)
 
+    # numpy would pack each group's overlapping windows into a contiguous
+    # copy for BLAS anyway; packing them explicitly is faster and rounds alike
     out = np.empty((l_out, c_out), dtype=a.data.dtype)
     for gi in range(groups):
-        np.matmul(rows[gi], tap_major(gi), out=out[:, gi * co_g:(gi + 1) * co_g])
+        np.matmul(np.ascontiguousarray(rows[gi]), tap_major(gi),
+                  out=out[:, gi * co_g:(gi + 1) * co_g])
 
     def bwd(g):
         dw = np.empty_like(wd)
         contrib = np.empty((l_out, groups, k * c_in_g), dtype=g.dtype)
         for gi in range(groups):
             cols = slice(gi * co_g, (gi + 1) * co_g)
-            dw[cols] = (rows[gi].T @ g[:, cols]).reshape(k, c_in_g, co_g).transpose(2, 1, 0)
+            windows = np.ascontiguousarray(rows[gi])
+            dw[cols] = (windows.T @ g[:, cols]).reshape(k, c_in_g, co_g).transpose(2, 1, 0)
             np.matmul(g[:, cols], tap_major(gi).T, out=contrib[:, gi])
         # tap j of window t lands on frame t * stride + j, for all channels at once
         dx = np.zeros((length, groups, c_in_g), dtype=g.dtype)

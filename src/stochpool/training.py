@@ -75,15 +75,25 @@ class TrainPlan:
 
 @dataclass
 class TrainLogRecord:
+    """One optimizer step. ``wall_ms`` covers the whole step; the forward
+    (loss) and backward (gradients and their sum) times are summed over the
+    step's utterances, and ``optimizer_ms`` covers averaging the gradients
+    and the Adam update."""
+
     step: int
     config: str
     loss: float
     grad_norm: float
     wall_ms: float
+    forward_ms: float
+    backward_ms: float
+    optimizer_ms: float
 
     def to_dict(self) -> dict:
         return {"step": self.step, "config": self.config, "loss": self.loss,
-                "grad_norm": self.grad_norm, "wall_ms": self.wall_ms}
+                "grad_norm": self.grad_norm, "wall_ms": self.wall_ms,
+                "forward_ms": self.forward_ms, "backward_ms": self.backward_ms,
+                "optimizer_ms": self.optimizer_ms}
 
 
 @dataclass
@@ -137,10 +147,24 @@ class Adam:
         for name, param in self.params.items():
             g = grads.get(name)
             if g is None:
-                continue
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * g * g
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                continue  # no gradient this step: value and moments stay
+            # the moments are Adam's own arrays, updated in place in the
+            # rounding order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+            m, v = self._m[name], self._v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            g2 = (1 - self.beta2) * g
+            g2 *= g
+            v += g2
+            # lr (m / bc1) / (sqrt(v / bc2) + eps), reusing the temporaries
+            update = m / bc1
+            update *= lr
+            denom = np.divide(v, bc2, out=g2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            # rebind, never write through: a same-dtype model copy shares arrays
             param.data = param.data - update
 
 
@@ -192,14 +216,18 @@ def _masked_regression_loss(model: EncoderModel, mask_embedding: Tensor,
 
 
 def _accumulate(total: dict, params: dict, grads: GradientMap):
+    """Add one utterance's gradients into ``total``, whose arrays the loop
+    owns: the first gradient of a parameter is copied, later ones added in
+    place."""
     for name, param in params.items():
         g = grads.get(param)
         if g is None:
             continue
-        if name in total:
-            total[name] = total[name] + g
+        acc = total.get(name)
+        if acc is None:
+            total[name] = g.copy()
         else:
-            total[name] = g
+            acc += g
 
 
 def _grad_norm(grads: dict) -> float:
@@ -207,6 +235,14 @@ def _grad_norm(grads: dict) -> float:
     for g in grads.values():
         total += float((g * g).sum())
     return float(np.sqrt(total))
+
+
+def _log_record(step, config, mean_loss, grads, started, forward_s, backward_s,
+                optimizer_s) -> TrainLogRecord:
+    norm = _grad_norm(grads)
+    return TrainLogRecord(step, config.describe(), float(mean_loss), norm,
+                          1000.0 * (time.perf_counter() - started),
+                          1000.0 * forward_s, 1000.0 * backward_s, 1000.0 * optimizer_s)
 
 
 def _run_loop(model, aux_params, plan, dataset, loss_fn, phase, val_fn=None):
@@ -235,32 +271,36 @@ def _run_loop(model, aux_params, plan, dataset, loss_fn, phase, val_fn=None):
         grad_total: dict = {}
         loss_total = 0.0
         used = 0
+        forward_s = backward_s = 0.0
         for pos, index in enumerate(indices):
             utt = dataset[index]
+            tick = time.perf_counter()
             with Tape():
                 item_loss = loss_fn(utt, config, step=step, slot=pos)
+            tock = time.perf_counter()
+            forward_s += tock - tick
             if item_loss is None:
                 skipped += 1
                 continue
             loss_value = item_loss.item()
             grads = backward(item_loss)
             _accumulate(grad_total, trainable, grads)
+            backward_s += time.perf_counter() - tock
             loss_total += loss_value
             used += 1
         if used == 0:
             raise InputError(f"step {step}: every utterance in the batch was skipped")
+        tick = time.perf_counter()
         mean_loss = loss_total / used
-        grad_total = {name: g / used for name, g in grad_total.items()}
+        for g in grad_total.values():
+            g /= used
         if not np.isfinite(mean_loss):
-            record = TrainLogRecord(step, config.describe(), float(mean_loss),
-                                    _grad_norm(grad_total),
-                                    1000.0 * (time.perf_counter() - started))
-            log.append(record)
+            log.append(_log_record(step, config, mean_loss, grad_total, started,
+                                   forward_s, backward_s, time.perf_counter() - tick))
             raise DivergenceError(f"non-finite loss {mean_loss} at step {step}", log=log)
         optimizer.step(grad_total)
-        log.append(TrainLogRecord(step, config.describe(), float(mean_loss),
-                                  _grad_norm(grad_total),
-                                  1000.0 * (time.perf_counter() - started)))
+        log.append(_log_record(step, config, mean_loss, grad_total, started,
+                               forward_s, backward_s, time.perf_counter() - tick))
         if initial_loss is None:
             initial_loss = mean_loss
         final_loss = mean_loss

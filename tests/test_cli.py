@@ -68,6 +68,15 @@ class TestVerifyCommand:
         assert run("verify", "--inject-fault", "upsample-truncation",
                    "--filter", "pooling") == 1
 
+    def test_injected_fault_swapped_back_out(self):
+        from stochpool import attention, encoder, pooling, verify
+
+        real = pooling.upsample
+        assert run("verify", "--inject-fault", "upsample-truncation",
+                   "--filter", "length") == 1
+        assert all(m.upsample is real for m in (pooling, attention, encoder, verify))
+        assert run("verify", "--filter", "length") == 0
+
     def test_unmatched_filter_is_usage_error(self):
         assert run("verify", "--filter", "no-such-check") == 2
 
@@ -91,7 +100,8 @@ class TestPretrainCommand:
         def non_timing(path):
             records = [json.loads(line) for line in path.read_text().splitlines()]
             for rec in records:
-                rec.pop("wall_ms")
+                for key in ("wall_ms", "forward_ms", "backward_ms", "optimizer_ms"):
+                    rec.pop(key)
             return records
 
         assert (non_timing(out1 / "train_log.jsonl")

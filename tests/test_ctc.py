@@ -182,3 +182,73 @@ class TestWer:
     def test_empty_reference_rejected(self):
         with pytest.raises(InputError):
             wer(["a"], [])
+
+
+def ctc_reference(logits, labels):
+    """The frame-by-frame CTC recursion with a boolean skip mask, an oracle
+    for the gathered-emission lattices: returns (loss, d loss / d logits)."""
+    lp = log_softmax(logits.astype(np.float64))
+    z = np.zeros(2 * len(labels) + 1, dtype=np.int64)
+    z[1::2] = labels
+    t_len, s_len = len(lp), len(z)
+    skip_ok = np.zeros(s_len, dtype=bool)
+    if s_len >= 3:
+        skip_ok[3::2] = z[3::2] != z[1:-2:2]
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, 0] = lp[0, z[0]]
+    if s_len > 1:
+        alpha[0, 1] = lp[0, z[1]]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+        if s_len >= 3:
+            acc[2:] = np.logaddexp(acc[2:], np.where(skip_ok[2:], prev[:-2], -np.inf))
+        alpha[t] = acc + lp[t, z]
+    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2]) if s_len > 1 else alpha[-1, -1]
+    beta = np.full((t_len, s_len), -np.inf)
+    beta[-1, -1] = 0.0
+    if s_len > 1:
+        beta[-1, -2] = 0.0
+    for t in range(t_len - 2, -1, -1):
+        nxt = beta[t + 1] + lp[t + 1, z]
+        acc = nxt.copy()
+        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
+        if s_len >= 3:
+            acc[:-2] = np.logaddexp(acc[:-2], np.where(skip_ok[2:], nxt[2:], -np.inf))
+        beta[t] = acc
+    occupancy = np.exp(alpha + beta - log_p)
+    posterior = np.zeros_like(lp)
+    np.add.at(posterior.T, z, occupancy.T)
+    return np.asarray(-log_p, dtype=logits.dtype), (np.exp(lp) - posterior).astype(logits.dtype)
+
+
+class TestLatticeBitIdentity:
+    """The guarded lattices over gathered emissions round exactly like the
+    reference recursion, so loss and gradient are equal, not just close."""
+
+    CASES = [
+        ("min_frames", (1, 2, 3, 4), 4, 1.0, np.float64),
+        ("min_frames_repeats", (2, 2, 1, 1, 1), 8, 1.0, np.float64),
+        ("long", (1, 3, 2), 52, 1.0, np.float64),
+        ("empty", (), 7, 1.0, np.float64),
+        ("empty_single_frame", (), 1, 1.0, np.float64),
+        ("single_frame", (2,), 1, 1.0, np.float64),
+        ("repeats", (3, 3, 3, 1, 1), 20, 1.0, np.float64),
+        ("scaled_x50", (1, 2, 2, 4), 30, 50.0, np.float64),
+        ("float32", (4, 1, 1, 2), 25, 1.0, np.float32),
+        ("float32_scaled_x50", (2, 2), 12, 50.0, np.float32),
+    ]
+
+    @pytest.mark.parametrize("name,labels,t_len,gain,dtype", CASES, ids=[c[0] for c in CASES])
+    def test_loss_and_gradient_equal_reference(self, name, labels, t_len, gain, dtype):
+        assert t_len >= min_frames(labels)
+        logits = (gain * rand(300 + t_len, t_len, 5)).astype(dtype)
+        want_loss, want_grad = ctc_reference(logits, labels)
+        x = Tensor(logits)
+        with Tape():
+            loss = ctc_loss(x, labels)
+        grad = backward(loss)[x]
+        assert loss.data.dtype == grad.dtype == dtype
+        assert np.array_equal(loss.data, want_loss)
+        assert np.array_equal(grad, want_grad)

@@ -336,6 +336,14 @@ def gelu_formula(x):
     return y, grad
 
 
+def gelu_backward_written(x, g):
+    """The GELU backward written out, with 1 - t^2 as (2 - s) s for s = 1 + t:
+    the in-place backward must round exactly like this expression."""
+    s = 1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x)))
+    return 0.5 * g * (s + x * 0.7978845608028654 * (1.0 + 3.0 * 0.044715 * x * x)
+                      * (2.0 - s) * s)
+
+
 def layer_norm_formula(x, gamma, beta, eps=1e-5):
     """Layer norm written out with temporaries, the oracle for the in-place forward."""
     mu = x.mean(axis=1, keepdims=True)
@@ -361,6 +369,35 @@ def tape_grads(fn, arrays, upstream):
 
 
 class TestConv1dOracle:
+    @pytest.mark.parametrize("shape", CONV_SHAPES + [(1000, 64, 64, 15, 1, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv1d_equals_strided_view_gemms(self, shape, dtype):
+        """Packing the windows before each GEMM rounds like handing numpy the
+        overlapping strided view, in the forward and in dw."""
+        length, c_in, c_out, k, stride, groups = shape
+        x = rand(500 + length, length, c_in).astype(dtype)
+        w = (rand(600 + k, c_out, c_in // groups, k) / np.sqrt(k * c_in // groups)).astype(dtype)
+        l_out = (length - k) // stride + 1
+        up = rand(700 + k, l_out, c_out).astype(dtype)
+        c_in_g, co_g = c_in // groups, c_out // groups
+        xg = np.ascontiguousarray(x.reshape(length, groups, c_in_g).transpose(1, 0, 2))
+        rows = np.lib.stride_tricks.as_strided(
+            xg, (groups, l_out, k * c_in_g),
+            (xg.strides[0], stride * c_in_g * xg.itemsize, xg.itemsize), writeable=False)
+        want = np.empty((l_out, c_out), dtype=dtype)
+        want_dw = np.empty_like(w)
+        for gi in range(groups):
+            cols = slice(gi * co_g, (gi + 1) * co_g)
+            taps = w[cols].transpose(2, 1, 0).reshape(k * c_in_g, co_g)
+            np.matmul(rows[gi], taps, out=want[:, cols])
+            want_dw[cols] = (rows[gi].T @ up[:, cols]).reshape(k, c_in_g, co_g).transpose(2, 1, 0)
+        xt, wt = Tensor(x), Tensor(w)
+        with Tape():
+            out = conv1d(xt, wt, stride=stride, groups=groups)
+            loss = sum_all(mul(out, Tensor(up)))
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(backward(loss)[wt], want_dw)
+
     @pytest.mark.parametrize("shape", CONV_SHAPES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_against_frame_loop(self, shape, dtype):
@@ -406,14 +443,22 @@ class TestInPlaceElementwise:
         _, grad = gelu_formula(x)
         (got,) = tape_grads(gelu, [x], g)
         assert np.abs(got - grad(g)).max() < 1e-12
+        for dtype in (np.float32, np.float64):
+            xd, gd = x.astype(dtype), g.astype(dtype)
+            (got,) = tape_grads(gelu, [xd], gd)
+            assert got.dtype == dtype
+            assert np.array_equal(got, gelu_backward_written(xd, gd))
 
     def test_layer_norm_backward_matches_formula(self):
         x, g = rand(406, 20, 16) * 2 + 1, rand(407, 20, 16)
         gamma, beta = 1.0 + 0.3 * rand(408, 16), 0.3 * rand(409, 16)
-        _, grad = layer_norm_formula(x, gamma, beta)
-        got = tape_grads(layer_norm, [x, gamma, beta], g)
-        for a, b in zip(got, grad(g)):
-            assert np.abs(a - b).max() < 1e-12
+        for dtype in (np.float32, np.float64):
+            arrays = [a.astype(dtype) for a in (x, gamma, beta)]
+            _, grad = layer_norm_formula(*arrays)
+            got = tape_grads(layer_norm, arrays, g.astype(dtype))
+            for a, b in zip(got, grad(g.astype(dtype))):
+                assert a.dtype == dtype
+                assert np.array_equal(a, b)
 
     def test_inputs_not_written(self):
         x = rand(410, 6, 5)

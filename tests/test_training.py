@@ -12,6 +12,7 @@ from stochpool.stochastic import FactorSets, fixed_config
 from stochpool.training import (
     Adam,
     TrainPlan,
+    _accumulate,
     _mask_plan,
     evaluate,
     finetune,
@@ -20,9 +21,13 @@ from stochpool.training import (
     write_train_log,
 )
 from stochpool.stochastic import Rng
-from stochpool.tensor import Tensor
+from stochpool.tensor import Tape, Tensor, add, backward, sum_all
 
 SETS = FactorSets((1, 2), (1, 2), (1, 2))
+
+
+def rand_matrix(seed, *shape):
+    return Rng(seed).fork("adam").normal_matrix(shape)
 
 
 def tiny_model(seed=0):
@@ -281,4 +286,82 @@ class TestAdamAndLog:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         rec = json.loads(lines[0])
-        assert set(rec) == {"step", "config", "loss", "grad_norm", "wall_ms"}
+        assert set(rec) == {"step", "config", "loss", "grad_norm", "wall_ms",
+                            "forward_ms", "backward_ms", "optimizer_ms"}
+
+    def test_step_time_split_within_wall_time(self):
+        model = tiny_model(seed=15)
+        ds = SymbolFeatureDataset(8, 64, vocab=4, seed=15, split="train")
+        result = finetune(model, ctc_plan(steps=3, seed=15), ds, vocab=4)
+        for rec in result.log:
+            parts = (rec.forward_ms, rec.backward_ms, rec.optimizer_ms)
+            assert all(p >= 0.0 for p in parts)
+            assert rec.forward_ms > 0.0 and rec.backward_ms > 0.0
+            assert sum(parts) <= rec.wall_ms
+
+
+def adam_written(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step written out with temporaries: (param, m, v) after it."""
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    update = lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return p - update, m, v
+
+
+def test_accumulate_owns_its_sums():
+    """The tape hands both inputs of an add the same gradient array, so the
+    in-place sums must start from copies."""
+    params = {"a": Tensor(np.zeros((2, 3))), "b": Tensor(np.zeros((2, 3)))}
+    total = {}
+    for _ in range(2):
+        with Tape():
+            loss = sum_all(add(params["a"], params["b"]))
+        grads = backward(loss)
+        assert grads[params["a"]] is grads[params["b"]]
+        _accumulate(total, params, grads)
+    assert np.array_equal(total["a"], np.full((2, 3), 2.0))
+    assert np.array_equal(total["b"], np.full((2, 3), 2.0))
+
+
+class TestAdamInPlace:
+    def test_equals_written_out_formula_over_steps(self):
+        # small parameters and a large rate, so the update's last bits show
+        w = 1e-3 * rand_matrix(30, 5, 3)
+        b = 1e-3 * rand_matrix(31, 1, 4)[0]
+        params = {"w": Tensor(w), "b": Tensor(b)}
+        opt = Adam(params, lr=0.1, warmup_steps=3)
+        want = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
+                for name, t in params.items()}
+        for step in range(7):
+            grads = {"w": rand_matrix(40 + step, 5, 3) * 10.0 ** (step - 3),
+                     "b": rand_matrix(50 + step, 1, 4)[0]}
+            lr = opt.lr_at(step)
+            opt.step(grads)
+            for name, g in grads.items():
+                want[name] = adam_written(*want[name], g, step + 1, lr)
+                assert np.array_equal(params[name].data, want[name][0])
+                assert np.array_equal(opt._m[name], want[name][1])
+                assert np.array_equal(opt._v[name], want[name][2])
+
+    def test_parameter_without_gradient_keeps_value_and_moments(self):
+        params = {"w": Tensor(rand_matrix(32, 2, 3)), "idle": Tensor(rand_matrix(33, 3, 2))}
+        opt = Adam(params, lr=0.01)
+        opt.step({"w": rand_matrix(34, 2, 3), "idle": rand_matrix(35, 3, 2)})
+        idle = (params["idle"].data.copy(), opt._m["idle"].copy(), opt._v["idle"].copy())
+        w_before = params["w"].data.copy()
+        for step in range(3):
+            opt.step({"w": rand_matrix(36 + step, 2, 3)})
+        assert not np.array_equal(params["w"].data, w_before)
+        assert np.array_equal(params["idle"].data, idle[0])
+        assert np.array_equal(opt._m["idle"], idle[1])
+        assert np.array_equal(opt._v["idle"], idle[2])
+
+    def test_clone_arrays_never_written(self):
+        model = tiny_model(seed=16)
+        copy = model.clone()
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        ds = SymbolFeatureDataset(8, 64, vocab=4, seed=16, split="train")
+        finetune(copy, ctc_plan(steps=2, seed=16), ds, vocab=4)
+        assert any(not np.array_equal(copy.params[n].data, before[n]) for n in before)
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, before[name]), name
