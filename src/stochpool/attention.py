@@ -1,13 +1,53 @@
 """Scaled dot-product attention, multi-head and pooled, as one fused op.
 
 Every attention call runs one tape op over (H, T, d) views of the
-projected queries, keys and values: a batched matmul for the logits, then
-scale, key mask, max shift and exp in place in that single (H, Tq, Tk)
-buffer, then a batched matmul with the values. The (H, Tq, d_v) product is
-divided by the row sums of the weights; the (H, Tq, Tk) weights themselves
-are normalised only when a tape runs the backward, which is written by
-hand. The op reports its multiply-accumulates to the active counter like
-``matmul`` does. Single-head attention is the H = 1 case.
+projected queries, keys and values. The (T, E) queries are scaled by
+c = 1/sqrt(d) first, so a batched matmul gives the scaled logits in one
+(H, Tq, Tk) buffer; the key mask, exp and the row sums then work in place
+in that buffer, and a batched matmul with the values follows. The
+(H, Tq, d_v) product is divided by the row sums of the weights; the
+(H, Tq, Tk) weights themselves are normalised only when a tape runs the
+backward, which is written by hand. The op reports its
+multiply-accumulates to the active counter like ``matmul`` does.
+Single-head attention is the H = 1 case.
+
+Softmax is shift-invariant, so the usual subtraction of each row's max
+logit only guards the range of exp. The op skips it when a bound proves
+it unneeded. By Cauchy-Schwarz every logit of every head obeys
+|c q_i . k_j| <= B = max_i |c q_i| * max_j |k_j|, with norms over whole
+E-wide rows (a head's columns are a subset of them), computed from
+squared row norms in O(T E). The shift is skipped when B < L, the module
+constant ``_EXP_LIMIT`` (60 in float32, 300 in float64), and
+Tk * V_lo < V and Tk * V <= V_hi, where V is the largest |v| over the
+unmasked keys. With u the unit roundoff, eta the smallest subnormal and
+M the largest finite number, V_lo = eta e^(L+1) / u and
+V_hi = M / (2 e^(L+1)). This covers:
+
+- every logit: the logits matmul and the norms each round at most E
+  terms, so a computed logit exceeds the computed B by a factor of at
+  most 1 + 3 (E+1) u, and norms that underflow hide less than 0.3; for
+  E up to 46,000 (float32) or 5e12 (float64) every unmasked logit lies
+  in [-L-1, L+1];
+- every exp: e^(L+1) and e^-(L+1) are normal numbers (float32: e^61 is
+  3.1e26 <= 3.4e38 and e^-61 is 3.2e-27 >= 1.2e-38; float64: e^+-301), so
+  no weight overflows or underflows;
+- every row sum: it lies between e^-(L+1) > 0 (``attend`` rejects rows
+  with every key masked) and Tk e^(L+1), finite for any Tk below 1e12;
+- every entry of p @ v: each partial sum is at most Tk e^(L+1) V in
+  magnitude, at most M / 2 by the V_hi test, and the factor 2 absorbs
+  rounding. Products that underflow add at most Tk eta of absolute
+  error, at most Tk eta e^(L+1) after the division by the row sum, and
+  the V_lo test keeps that below one rounding u V of the output;
+- the masked case: a masked key's logit becomes -inf and its weight
+  exactly 0. Its norm stays in B, which only loosens the bound, and its
+  value leaves V, so V bounds exactly the values that reach the output.
+
+Otherwise (a larger bound, values outside the window or non-finite
+inputs) each row is shifted by its max as before. Either way the weights
+differ only by a per-row factor that the normalisation divides out, and
+the backward normalises the saved weights by the row sums, so both paths
+give the same op up to rounding. The common case makes four passes over
+the (H, Tq, Tk) buffer instead of seven.
 
 The pooled form shrinks the computation without touching any parameters:
 queries are mean-pooled by ``s_q`` and keys/values jointly by ``s_k``
@@ -70,6 +110,36 @@ class AttentionParams:
         return self.w_q.shape[0]
 
 
+# Largest logit bound B for which exp runs without the row-max shift, and
+# the window that the largest |value| times the key count must lie in; the
+# module docstring proves both safe.
+_EXP_LIMIT = {np.dtype(np.float32): 60.0, np.dtype(np.float64): 300.0}
+
+
+def _value_window(dtype: np.dtype, limit: float) -> tuple:
+    info = np.finfo(dtype)
+    grow = math.exp(limit + 1.0)  # largest weight, with one unit of slack for rounding
+    return (float(info.smallest_subnormal) * grow / (float(info.eps) / 2),
+            float(info.max) / grow / 2.0)
+
+
+_SHIFT_FREE = {dt: (limit, *_value_window(dt, limit)) for dt, limit in _EXP_LIMIT.items()}
+
+
+def _shift_free(qs: np.ndarray, k: np.ndarray, v: np.ndarray, tk: int) -> bool:
+    """Whether exp(qs k^T) and its product with v are safe without a max shift.
+
+    ``qs`` holds the pre-scaled queries, ``v`` the values of the unmasked
+    keys and ``tk`` the key count. Non-finite inputs, all-zero values and an
+    empty key set all give False, so they take the shifted path.
+    """
+    limit, v_lo, v_hi = _SHIFT_FREE[qs.dtype]
+    q2 = float(np.einsum("ij,ij->i", qs, qs).max(initial=0.0))
+    k2 = float(np.einsum("ij,ij->i", k, k).max(initial=0.0))
+    v_max = float(np.abs(v).max(initial=0.0))
+    return q2 * k2 < limit * limit and tk * v_lo < v_max and tk * v_max <= v_hi
+
+
 def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
     """softmax(q k^T / sqrt(d) + key mask) v for each head, as one tape op."""
     tq, tk = q.shape[0], k.shape[0]
@@ -77,14 +147,17 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
     macs = _active_macs()
     if macs is not None:
         macs.add(heads * tq * tk * (d + v.shape[1] // heads))
-    qh, kh, vh = (_split_groups(t.data, heads) for t in (q, k, v))
     c = 1.0 / math.sqrt(d)
+    qs = q.data * c  # scale the (Tq, E) queries, not the (H, Tq, Tk) logits
+    masked = mask is not None and not mask.all()
+    shift = not _shift_free(qs, k.data, v.data[mask] if masked else v.data, tk)
+    qh, kh, vh = (_split_groups(a, heads) for a in (qs, k.data, v.data))
     # the one (H, Tq, Tk) buffer: logits, then unnormalised weights, in place
     p = qh @ kh.transpose(0, 2, 1)
-    p *= c
-    if mask is not None and not mask.all():
+    if masked:
         p += np.where(mask, 0.0, -np.inf).astype(p.dtype)
-    p -= p.max(axis=2, keepdims=True)
+    if shift:  # only when the bound cannot rule out overflow or underflow
+        p -= p.max(axis=2, keepdims=True)
     np.exp(p, out=p)
     row_sums = p.sum(axis=2, keepdims=True)
     oh = p @ vh
@@ -98,8 +171,9 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
         # sum_k p_k (g . v_k) = g . out, so the row term needs no (H, Tq, Tk) product
         ds -= (gh * oh).sum(axis=2, keepdims=True)
         ds *= p
-        ds *= c
-        return (_merge_groups(ds @ kh), _merge_groups(ds.transpose(0, 2, 1) @ qh),
+        dq = ds @ kh
+        dq *= c  # the logits are (c q) k^T; qh already carries c for the key gradient
+        return (_merge_groups(dq), _merge_groups(ds.transpose(0, 2, 1) @ qh),
                 _merge_groups(dv))
 
     return _wrap(_merge_groups(oh), (q, k, v), bwd)

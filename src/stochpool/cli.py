@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import pooling
-from .cost_model import analytic_cost, sweep, write_csv, write_json
+from .cost_model import analytic_cost, sweep, write_csv, write_json, write_profile
 from .data import (
     ManifestDataset,
     SineFeatureDataset,
@@ -280,11 +280,12 @@ def cmd_sweep(args) -> int:
                     head=head, measure_time=rc.measure and not args.no_measure)
     write_csv(out / "sweep.csv", reports)
     write_json(out / "sweep.json", reports)
+    write_profile(out / "sweep_profile.json", reports)
     for r in reports:
         wall = f"{r.wall_ms_median:10.2f} ms" if r.wall_ms_median is not None else "   (skipped)"
         err = f"  SER {r.symbol_error:.3f}" if r.symbol_error is not None else ""
         print(f"{r.config:>10}  {r.macs_total:>14,} MACs  {wall}{err}")
-    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
+    print(f"wrote {out / 'sweep.csv'}, {out / 'sweep.json'} and {out / 'sweep_profile.json'}")
     return 0
 
 

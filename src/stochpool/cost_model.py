@@ -355,3 +355,16 @@ def write_json(path, reports):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_profile(path, reports):
+    """The measurements the frozen CSV/JSON schema leaves out, one entry per
+    report: summed decode median (null without a head) and the count of
+    utterances whose forward median was below the timer floor; both are
+    null when timing was skipped."""
+    rows = [{"config": r.config, "decode_ms_median": r.decode_ms_median,
+             "timer_flagged": None if r.wall_ms_median is None else r.timer_flagged}
+            for r in reports]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -155,8 +155,9 @@ def read_wav(path) -> np.ndarray:
             channels = fh.getnchannels()
             width = fh.getsampwidth()
             rate = fh.getframerate()
-            frames = fh.readframes(fh.getnframes())
-    except (wave.Error, EOFError) as exc:
+            declared = fh.getnframes()
+            frames = fh.readframes(declared)
+    except (wave.Error, EOFError, OSError) as exc:
         raise InputError(f"{path}: not a readable WAV file ({exc})") from exc
     if channels != 1:
         raise InputError(f"{path}: expected mono audio, got {channels} channels")
@@ -164,6 +165,9 @@ def read_wav(path) -> np.ndarray:
         raise InputError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate != SAMPLE_RATE:
         raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz (no resampling)")
+    if len(frames) != 2 * declared:
+        raise InputError(f"{path}: truncated WAV data: the header declares {declared} "
+                         f"samples, the file holds {len(frames)} bytes")
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64)
     return samples / 32768.0
 

@@ -1,9 +1,12 @@
 """Plain and pooled attention: oracles, degenerate cases, gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
-from stochpool.attention import AttentionParams, PoolFactors, attend, multi_head_pooled, pooled_attend
+from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, AttentionParams, PoolFactors, _shift_free,
+                                 attend, multi_head_pooled, pooled_attend)
 from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.pooling import downsample, upsample
@@ -196,3 +199,133 @@ class TestMultiHeadPooled:
             out = multi_head_pooled(x, params, PoolFactors(s_q=2, s_k=s_k), mask)
             assert out.shape == (7, e)
             assert np.all(np.isfinite(out.data))
+
+
+def softmax_oracle(q, k, v, mask=None):
+    """softmax(q k^T / sqrt(d)) v over the unmasked keys, one float64 scalar at a time,
+    each row shifted by its max logit."""
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    keys = [j for j in range(len(k)) if mask is None or mask[j]]
+    out = np.zeros((len(q), v.shape[1]))
+    for i in range(len(q)):
+        logits = [math.fsum(q[i] * k[j]) / math.sqrt(q.shape[1]) for j in keys]
+        top = max(logits)
+        weights = [math.exp(s - top) for s in logits]
+        total = math.fsum(weights)
+        for col in range(v.shape[1]):
+            out[i, col] = math.fsum(w * v[j, col] for w, j in zip(weights, keys)) / total
+    return out
+
+
+def decision(q, k, v, mask=None, heads=1):
+    """The op's shift decision, made on the same arrays as the op makes it."""
+    values = v if mask is None else v[mask]
+    return _shift_free(q * (1.0 / math.sqrt(q.shape[1] // heads)), k, values, len(k))
+
+
+# d = 4, so 1/sqrt(d) = 1/2 and every logit below is exact in float32: each row
+# has at most two nonzero entries, each a power of two times a or b
+Q_ROWS = np.array([[1, 0, 0, 0], [-1, 0, 0, 0], [1 / 64, 0, 0, 0], [1 / 16, 1 / 16, 0, 0],
+                   [0, 0, 0, 0]])
+K_ROWS = np.array([[1, 0, 0, 0], [0.5, 0, 0, 0], [-0.25, 0.5, 0, 0], [-1, 0, 0, 0],
+                   [0.125, 0, 0, 0]])
+V_ROWS = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.5, -1.0, 2.0], [-3.0, 0.5, 2.5, -0.75],
+                   [2.0, 2.0, -0.5, 1.0], [-1.5, -0.25, 1.0, 0.5]])
+KEY_MASK = np.array([False, True, True, False, True])  # hides both +-bound logits of rows 0, 1
+F32_TOLERANCE = 2e-6  # of max |v|: exp, the row sums and p @ v each round in float32
+
+
+def bounded_case(dtype, bound, value_scale=1.0):
+    """q, k, v whose Cauchy-Schwarz bound max |q_i / 2| max |k_j| is exactly ``bound``;
+    rows 0 and 1 reach logits of +-bound."""
+    b = 8.0
+    q = (2.0 * bound / b) * Q_ROWS
+    return (q.astype(dtype), (b * K_ROWS).astype(dtype), (value_scale * V_ROWS).astype(dtype))
+
+
+def assert_matches_oracle(q, k, v, mask=None):
+    got = attend(Tensor(q), Tensor(k), Tensor(v), mask).data
+    assert np.all(np.isfinite(got))
+    tolerance = 1e-12 if q.dtype == np.float64 else F32_TOLERANCE
+    err = np.abs(got - softmax_oracle(q, k, v, mask)).max() / np.abs(v).max()
+    assert err <= tolerance, f"{q.dtype}: error {err:.3g} of max |v|"
+
+
+class TestShiftDecision:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_limit_keeps_weights_in_range(self, dtype):
+        # the module docstring's bounds, for the largest weight e^(L+1) with rounding slack
+        limit, v_lo, v_hi = _SHIFT_FREE[np.dtype(dtype)]
+        info = np.finfo(dtype)
+        with np.errstate(all="raise"):
+            top = np.exp(dtype(limit + 1))
+            assert np.exp(dtype(-limit - 1)) >= info.tiny
+            assert top * dtype(2 ** 30) < info.max  # row sums of 2^30 keys stay finite
+        assert v_lo < 1e-6 and v_hi > 1e6  # ordinary values never force the shift
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mask", [None, KEY_MASK], ids=["all-keys", "masked"])
+    def test_just_under_and_just_over_the_limit(self, dtype, mask):
+        limit = _EXP_LIMIT[np.dtype(dtype)]
+        for bound, shift_free in ((limit - 0.125, True), (limit + 0.125, False)):
+            q, k, v = bounded_case(dtype, bound)
+            assert decision(q, k, v, mask) is shift_free
+            assert_matches_oracle(q, k, v, mask)
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 1024.0), (np.float64, 10240.0)])
+    @pytest.mark.parametrize("mask", [None, KEY_MASK], ids=["all-keys", "masked"])
+    def test_huge_logits_take_the_shift(self, dtype, bound, mask):
+        q, k, v = bounded_case(dtype, bound)
+        assert decision(q, k, v, mask) is False
+        assert_matches_oracle(q, k, v, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_large_values_take_the_shift(self, dtype):
+        # eight equal keys: row 0 weighs each with e^(L - 1/8), so p @ v would
+        # overflow unshifted although the bound is below L and |v| <= v_hi
+        limit, _, v_hi = _SHIFT_FREE[np.dtype(dtype)]
+        q = bounded_case(dtype, limit - 0.125)[0]
+        k = np.tile(8.0 * K_ROWS[0], (8, 1)).astype(dtype)
+        ramp = np.linspace(-1.0, 1.0, 8)
+        v = (0.9 * v_hi * np.column_stack([np.ones(8), ramp, -ramp, np.full(8, 0.25)])).astype(dtype)
+        assert decision(q, k, v) is False
+        assert_matches_oracle(q, k, v)
+
+    @pytest.mark.parametrize("dtype, scale", [(np.float32, 1e-30), (np.float64, 1e-200)])
+    @pytest.mark.parametrize("mask", [None, KEY_MASK], ids=["all-keys", "masked"])
+    def test_tiny_values_take_the_shift(self, dtype, scale, mask):
+        # every logit is -(L - 1/8): unshifted, the products e^-(L - 1/8) * v would
+        # underflow; masked keys carry values of 1, which must not count
+        bound = _EXP_LIMIT[np.dtype(dtype)] - 0.125
+        q = np.tile(-bound / 4.0 * Q_ROWS[0], (5, 1)).astype(dtype)
+        k = np.tile(8.0 * K_ROWS[0], (5, 1)).astype(dtype)
+        v = scale * V_ROWS
+        if mask is not None:
+            v[~mask] = 1.0
+        v = v.astype(dtype)
+        assert decision(q, k, v, mask) is False
+        got = attend(Tensor(q), Tensor(k), Tensor(v), mask).data
+        want = softmax_oracle(q, k, v, mask)
+        tolerance = 1e-12 if dtype == np.float64 else F32_TOLERANCE
+        assert np.abs(got - want).max() <= tolerance * np.abs(want).max()
+
+    def test_non_finite_inputs_take_the_shift(self):
+        q, k, v = bounded_case(np.float64, 1.0)
+        for bad in (np.inf, np.nan):
+            k_bad = k.copy()
+            k_bad[2, 3] = bad
+            assert decision(q, k_bad, v) is False
+
+    @pytest.mark.parametrize("mask", [None, np.array([True, False, True, True, False, True])],
+                             ids=["all-keys", "masked"])
+    def test_gradients_on_both_sides(self, mask):
+        q, k, v = rand(61, 5, 4), rand(62, 6, 4), rand(63, 6, 4)
+        # large orthogonal parts push the bound past the float64 limit while the
+        # logits stay near 1, so finite differences remain well conditioned
+        q_far, k_far = q * 0.05, k * 0.05
+        q_far[:, 0] += 40.0
+        k_far[:, 1] += 40.0
+        for qa, ka, shift_free in ((q, k, True), (q_far, k_far, False)):
+            assert decision(qa, ka, v, mask, heads=2) is shift_free
+            check_gradients(lambda qt, kt, vt: sum_all(attend(qt, kt, vt, mask, heads=2)),
+                            [qa, ka, v])

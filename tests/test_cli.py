@@ -195,6 +195,21 @@ class TestFinetuneAndDecode:
         assert run("decode", str(cut), str(wav)) == 2
         assert "truncated" in capsys.readouterr().err
 
+    def test_decode_missing_wav_exits_two(self, finetuned, tmp_path, capsys):
+        missing = tmp_path / "absent.wav"
+        assert run("decode", str(finetuned), str(missing)) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cut", [1, 1000], ids=["mid-sample", "whole-samples"])
+    def test_decode_truncated_wav_exits_two(self, finetuned, tmp_path, capsys, cut):
+        wav = tmp_path / "cut.wav"
+        write_wav(wav, synth_audio(5, seconds=0.5))
+        wav.write_bytes(wav.read_bytes()[:-cut])
+        assert run("decode", str(finetuned), str(wav)) == 2
+        err = capsys.readouterr().err
+        assert "truncated" in err and "Traceback" not in err
+
     def test_decode_without_head_rejected(self, tmp_path, capsys):
         pre_cfg = write_cfg(tmp_path / "p.cfg", output_dir=tmp_path / "pre", steps=2)
         assert run("pretrain", str(pre_cfg)) == 0
@@ -214,6 +229,9 @@ class TestSweepCommand:
         assert len(lines) == 5
         rows = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert [r["config"] for r in rows] == ["1-1-1", "2-1-1", "2-2-1", "2-2-2"]
+        profile = json.loads((tmp_path / "out" / "sweep_profile.json").read_text())
+        assert all(r["decode_ms_median"] is None and r["timer_flagged"] is None
+                   for r in profile)  # skipped, not zero
 
     def test_malformed_triplet_rejected_with_position(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out")
@@ -226,6 +244,22 @@ class TestSweepCommand:
         assert run("sweep", str(cfg)) == 0
         rows = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert all(r["wall_ms_median"] is not None for r in rows)
+
+    def test_profile_sidecar_keeps_decode_time_and_timer_flags(self, finetuned, tmp_path):
+        cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out",
+                        utterances=1, repeats=3, checkpoint=finetuned)
+        assert run("sweep", str(cfg)) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "s.cfg"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "effective_config.txt", "sweep.csv", "sweep.json", "sweep_profile.json"]
+        rows = json.loads((out / "sweep_profile.json").read_text())
+        assert [r["config"] for r in rows] == ["1-1-1", "2-1-1", "2-2-1", "2-2-2"]
+        for row in rows:
+            assert set(row) == {"config", "decode_ms_median", "timer_flagged"}
+            assert isinstance(row["decode_ms_median"], float) and row["decode_ms_median"] > 0
+            assert isinstance(row["timer_flagged"], int) and row["timer_flagged"] >= 0
+        assert set(json.loads((out / "sweep.json").read_text())[0]) == set(CSV_HEADER.split(","))
 
     def test_sweep_with_checkpoint_reports_symbol_error(self, finetuned, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out",
