@@ -275,9 +275,6 @@ class EncoderModel:
         return EncoderModel(self.config, dtype=dtype,
                             params={n: t.data for n, t in self.params.items()})
 
-    def clone(self) -> "EncoderModel":
-        return self.astype(self.dtype)
-
     def _attn_params(self, i: int) -> AttentionParams:
         cached = self._attn_cache.get(i)
         if cached is None:
@@ -370,9 +367,6 @@ class EncoderModel:
             with mac_scope("upsample"):
                 x = add(matmul(x, p["upsample.weight"]), p["upsample.bias"])
         return x
-
-    def forward_audio(self, audio, config: CompressionConfig) -> Tensor:
-        return self.forward(self.extract_features(audio), config)
 
 
 # ---------------------------------------------------------------------------

@@ -141,15 +141,6 @@ class FactorSets:
                 raise ConfigError(f"{name} members must be >= 1, got {vals}")
             object.__setattr__(self, name, vals)
 
-    @classmethod
-    def up_to(cls, s_f: int, s_k: int, s_q: int) -> "FactorSets":
-        """Sets {1..s_f}, {1..s_k}, {1..s_q}."""
-        return cls(
-            tuple(range(1, s_f + 1)),
-            tuple(range(1, s_k + 1)),
-            tuple(range(1, s_q + 1)),
-        )
-
 
 @dataclass(frozen=True)
 class CompressionConfig:

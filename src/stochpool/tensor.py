@@ -88,44 +88,6 @@ class Tensor:
             raise UsageError(f"item() requires a single-element tensor, shape {self.shape}")
         return float(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    # Operator sugar; all semantics live in the module-level functions.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    @property
-    def T(self):
-        return transpose(self)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name})"
 
@@ -408,41 +370,6 @@ def gelu(a) -> Tensor:
     return _wrap(y, (a,), bwd)
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _wrap(np.where(mask, a.data, 0.0), (a,), bwd)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose requires a 2-D tensor, got shape {a.shape}")
-
-    def bwd(g):
-        return (g.T,)
-
-    # copy so downstream BLAS calls see contiguous data
-    return _wrap(np.ascontiguousarray(a.data.T), (a,), bwd)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
-        raise ShapeError(f"cannot reshape {a.shape} ({a.data.size} values) to {shape}")
-    old_shape = a.data.shape
-
-    def bwd(g):
-        return (g.reshape(old_shape),)
-
-    return _wrap(a.data.reshape(shape), (a,), bwd)
-
-
 def concat(parts, axis: int = 0) -> Tensor:
     """Concatenate 2-D tensors along rows (axis 0) or columns (axis 1)."""
     parts = [as_tensor(p) for p in parts]
@@ -468,40 +395,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _wrap(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"slice_rows requires a 2-D tensor, got shape {a.shape}")
-    n = a.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for {n} rows")
-    shape = a.data.shape
-
-    def bwd(g):
-        out = np.zeros(shape, dtype=g.dtype)
-        out[start:stop, :] = g
-        return (out,)
-
-    return _wrap(a.data[start:stop, :].copy(), (a,), bwd)
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"slice_cols requires a 2-D tensor, got shape {a.shape}")
-    m = a.shape[1]
-    if not (0 <= start < stop <= m):
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for {m} columns")
-    shape = a.data.shape
-
-    def bwd(g):
-        out = np.zeros(shape, dtype=g.dtype)
-        out[:, start:stop] = g
-        return (out,)
-
-    return _wrap(a.data[:, start:stop].copy(), (a,), bwd)
-
-
 def sum_all(a) -> Tensor:
     """Sum of all entries as a scalar tensor."""
     a = as_tensor(a)
@@ -511,33 +404,6 @@ def sum_all(a) -> Tensor:
         return (np.broadcast_to(g, shape).astype(g.dtype, copy=True),)
 
     return _wrap(np.asarray(a.data.sum(), dtype=a.dtype), (a,), bwd)
-
-
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    shape = a.data.shape
-    n = a.data.size
-
-    def bwd(g):
-        return (np.full(shape, float(g) / n, dtype=g.dtype),)
-
-    return _wrap(np.asarray(a.data.mean(), dtype=a.dtype), (a,), bwd)
-
-
-def softmax_rows(a) -> Tensor:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows requires a 2-D tensor, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _wrap(y, (a,), bwd)
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:

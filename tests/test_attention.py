@@ -11,7 +11,7 @@ from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.pooling import downsample, upsample
 from stochpool.stochastic import Rng
-from stochpool.tensor import Tape, Tensor, concat, matmul, mul, slice_cols, sum_all, transpose
+from stochpool.tensor import Tape, Tensor, concat, matmul, mul, sum_all
 
 
 def rand(seed, *shape):
@@ -125,9 +125,9 @@ class TestMultiHeadPooled:
             k = matmul(xt, params.w_k)
             v = matmul(xt, params.w_v)
             dk = e // heads
-            heads_out = [attend(slice_cols(q, h * dk, (h + 1) * dk),
-                                slice_cols(k, h * dk, (h + 1) * dk),
-                                slice_cols(v, h * dk, (h + 1) * dk))
+            heads_out = [attend(q.data[:, h * dk:(h + 1) * dk],
+                                k.data[:, h * dk:(h + 1) * dk],
+                                v.data[:, h * dk:(h + 1) * dk])
                          for h in range(heads)]
             want = matmul(concat(heads_out, axis=1), params.w_o).data
             assert np.array_equal(got, want)

@@ -58,12 +58,6 @@ class TestRng:
 
 
 class TestFactorSets:
-    def test_up_to(self):
-        sets = FactorSets.up_to(2, 3, 2)
-        assert sets.squeeze_set == (1, 2)
-        assert sets.kv_set == (1, 2, 3)
-        assert sets.q_set == (1, 2)
-
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             FactorSets((), (1,), (1,))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from stochpool.data import SineFeatureDataset, SymbolFeatureDataset, Utterance
+from stochpool.data import SineFeatureDataset, SymbolFeatureDataset, Utterance, synth_audio
 from stochpool.encoder import EncoderModel, load_checkpoint, preset, save_checkpoint
 from stochpool.errors import ConfigError, DivergenceError, InputError
 from stochpool.stochastic import FactorSets, fixed_config
@@ -208,6 +208,20 @@ class TestFinetune:
 
         assert resume() == resume()
 
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_freeze_extractor_keeps_extractor_weights(self, freeze):
+        model = tiny_model(seed=13)
+        before = {n: t.data.copy() for n, t in model.params.items()}
+        audio = [Utterance(audio=synth_audio(13 + i), labels=(1, 2, 3)) for i in range(2)]
+        result = finetune(model, ctc_plan(steps=2, seed=13, freeze_extractor=freeze),
+                          audio, vocab=4)
+        changed = {n: not np.array_equal(result.params[n].data, before[n]) for n in before}
+        extractor = [changed[n] for n in before if n.startswith("fe.")]
+        layers = [changed[n] for n in before if n.startswith("layer")]
+        assert extractor and layers
+        assert not any(extractor) if freeze else all(extractor)
+        assert all(layers)
+
     def test_validation_selection_tracks_best(self):
         model = tiny_model(seed=12)
         plan = ctc_plan(steps=12, seed=12, eval_interval=4)
@@ -358,7 +372,7 @@ class TestAdamInPlace:
 
     def test_clone_arrays_never_written(self):
         model = tiny_model(seed=16)
-        copy = model.clone()
+        copy = model.astype(model.dtype)
         before = {name: t.data.copy() for name, t in model.params.items()}
         ds = SymbolFeatureDataset(8, 64, vocab=4, seed=16, split="train")
         finetune(copy, ctc_plan(steps=2, seed=16), ds, vocab=4)
