@@ -9,7 +9,7 @@ invariants, a brute-force CTC oracle) and an analytic + measured compute
 cost harness.
 """
 
-from .attention import AttentionParams, PoolFactors, attend, multi_head_pooled, pooled_attend
+from .attention import AttentionParams, PoolFactors, attend, multi_head_pooled
 from .ctc import ctc_loss, greedy_decode, wer
 from .encoder import (
     Checkpoint,
@@ -87,7 +87,6 @@ __all__ = [
     "masked_downsample",
     "multi_head_pooled",
     "parse_triplet",
-    "pooled_attend",
     "preset",
     "presets",
     "pretrain_toy",

@@ -49,12 +49,17 @@ the backward normalises the saved weights by the row sums, so both paths
 give the same op up to rounding. The common case makes four passes over
 the (H, Tq, Tk) buffer instead of seven.
 
-The pooled form shrinks the computation without touching any parameters:
-queries are mean-pooled by ``s_q`` and keys/values jointly by ``s_k``
-before attention, and the result is replicate-upsampled back to the
-original query length. Pooling acts on the time axis only, so pooling the
-full projected matrices equals pooling each head. With both factors at 1
-the computation is bit-identical to plain attention.
+The pooled form shrinks the computation without touching any parameters.
+``multi_head_pooled`` mean-pools the layer input before projecting it: by
+``s_q`` for the queries, by ``s_k`` for the keys and values. It attends
+over the pooled rows, applies ``w_o`` to the ceil(T/s_q) output rows and
+only then replicate-upsamples them to T. Pooling (P x) and upsampling act
+on rows, the projections (x W) on columns, so P (x W) = (P x) W and both
+orders agree up to rounding; with a key mask the keys and values come from
+the mean over the valid rows of each block, which is linear in x too.
+MViT (Fan et al. 2021) pools after projecting; with mean pooling the order
+is free, and pooling first runs every E x E product at the pooled length.
+With both factors at 1 the computation is bit-identical to plain attention.
 """
 
 from __future__ import annotations
@@ -208,42 +213,28 @@ def attend(q, k, v, mask=None, heads: int = 1) -> Tensor:
     return _fused_attention(q, k, v, mask, heads)
 
 
-def pooled_attend(q, k, v, factors: PoolFactors, mask=None, heads: int = 1) -> Tensor:
-    """Attention over pooled queries/keys/values, upsampled back to len(q).
-
-    Keys and values share the pooling factor so they stay aligned. When a
-    mask is given, a pooled key is valid iff any source key in its window
-    is, and its value is the partial mean over just the valid rows.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    n = q.shape[0]
-    if factors.s_q > 1:
-        q = downsample(q, factors.s_q)
-    if factors.s_k > 1:
-        if mask is not None:
-            k, pooled_mask = masked_downsample(k, factors.s_k, mask)
-            v, _ = masked_downsample(v, factors.s_k, mask)
-            mask = pooled_mask
-        else:
-            k = downsample(k, factors.s_k)
-            v = downsample(v, factors.s_k)
-    out = attend(q, k, v, mask, heads)
-    if factors.s_q > 1:
-        out = upsample(out, factors.s_q, truncate_to=n)
-    return out
-
-
 def multi_head_pooled(x, params: AttentionParams, factors: PoolFactors, mask=None) -> Tensor:
-    """Multi-head attention over x: project, pooled attention over all
-    heads at once, project back."""
+    """Multi-head attention over x, pooled before projecting: queries by
+    s_q, keys and values by s_k (over the rows ``mask`` marks valid, when
+    given); the output is upsampled back to len(x)."""
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[1] != params.model_dim:
         raise ShapeError(f"input width must be {params.model_dim}, got shape {x.shape}")
+    n = x.shape[0]
+    s_q, s_k = factors.s_q, factors.s_k
+    x_q = downsample(x, s_q) if s_q > 1 else x
+    if s_k > 1 and mask is not None:
+        x_kv, mask = masked_downsample(x, s_k, mask)
+    elif s_k == s_q:
+        x_kv = x_q
+    else:
+        x_kv = downsample(x, s_k) if s_k > 1 else x
     with mac_scope("attn_proj"):
-        q = matmul(x, params.w_q)
-        k = matmul(x, params.w_k)
-        v = matmul(x, params.w_v)
+        q = matmul(x_q, params.w_q)
+        k = matmul(x_kv, params.w_k)
+        v = matmul(x_kv, params.w_v)
     with mac_scope("attn_scores"):
-        out = pooled_attend(q, k, v, factors, mask, params.heads)
+        out = attend(q, k, v, mask, params.heads)
     with mac_scope("attn_proj"):
-        return matmul(out, params.w_o)
+        out = matmul(out, params.w_o)
+    return upsample(out, s_q, truncate_to=n) if s_q > 1 else out

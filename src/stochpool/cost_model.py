@@ -5,16 +5,18 @@ during a forward pass, split into five buckets:
 
     fe           wave feature extractor convs + projection (audio runs)
                  plus the positional convolution (every run)
-    attn_proj    q/k/v/output projections, 4 * T' * E^2 per layer
-    attn_scores  logits and value mixing, 2 * ceil(T'/s_q) * ceil(T'/s_k) * E
+    attn_proj    q/k/v/output projections, (2 n_q + 2 n_k) * E^2 per layer
+    attn_scores  logits and value mixing, 2 * n_q * n_k * E per layer
     ffn          two feed-forward matmuls, 2 * T' * E * ffn_dim per layer
-    upsample     shared linear head after replicate-upsampling, T * E^2
+    upsample     shared linear head before replicate-upsampling, T' * E^2
 
-where T' = ceil(T / s_f). Softmax, layer norm, activations, and pooling
-are excluded from both the analytic model and the instrumented counter;
-they do show up in measured wall time, and that gap is reported rather
-than hidden. Timing uses the median over repeats with an excluded warm-up
-pass, runs strictly serially, and is done on a float32 copy of the model.
+where T' = ceil(T / s_f), n_q = ceil(T' / s_q) and n_k = ceil(T' / s_k):
+attention projects rows already pooled. Softmax, layer norm, activations
+and pooling are excluded from both the analytic model and the instrumented
+counter; they do show up in measured wall time, and that gap is reported
+rather than hidden. Timing uses the median over repeats with an excluded
+warm-up pass, runs strictly serially, and is done on a float32 copy of
+the model.
 """
 
 from __future__ import annotations
@@ -141,11 +143,11 @@ def analytic_cost(config: CompressionConfig, enc_config: EncoderConfig, frames: 
     for s_k, s_q in config.per_layer:
         n_q = -(-t_squeezed // s_q)
         n_k = -(-t_squeezed // s_k)
-        report.macs_attn_proj += 4 * t_squeezed * e * e
+        report.macs_attn_proj += (2 * n_q + 2 * n_k) * e * e
         report.macs_attn_scores += 2 * n_q * n_k * e
         report.macs_ffn += 2 * t_squeezed * e * enc_config.ffn_dim
     if config.s_f > 1:
-        report.macs_upsample += frames * e * e
+        report.macs_upsample += t_squeezed * e * e
     return report
 
 

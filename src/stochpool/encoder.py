@@ -5,8 +5,12 @@ pooled attention.
 Pipeline for one forward pass at compression (s_f, per-layer (s_k, s_q)):
 
     features --mean-pool s_f--> positional conv --> transformer layers
-             --replicate-upsample to input length--> shared linear head
+             --> shared linear head --replicate-upsample to input length-->
 
+The head runs on the T' = ceil(T/s_f) squeezed rows, which equals running
+it after the row-copying upsample. A ``valid`` mask zeroes padded frames
+(s_f = 1) or leaves them out of each block's mean (s_f > 1) before the
+positional conv, so their content never reaches real frames.
 The squeeze path is skipped entirely at s_f = 1, so a (1,1,1) pass is a
 plain post-LN transformer encoder. The upsample head is the only
 parameter the squeeze mechanism adds, and it exists once for all squeeze
@@ -345,11 +349,10 @@ class EncoderModel:
 
         t_in = x.shape[0]
         v = valid
-        if config.s_f > 1:
-            if v is not None:
-                x, v = masked_downsample(x, config.s_f, v)
-            else:
-                x = downsample(x, config.s_f)
+        if v is not None:  # also at s_f = 1, where it zeroes the padded frames
+            x, v = masked_downsample(x, config.s_f, v)
+        elif config.s_f > 1:
+            x = downsample(x, config.s_f)
         x = self._positional(x)
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
@@ -363,9 +366,9 @@ class EncoderModel:
                 h = add(matmul(h, p[f"layer{i}.ffn.w2"]), p[f"layer{i}.ffn.b2"])
             x = layer_norm(add(x, h), p[f"layer{i}.norm2.gamma"], p[f"layer{i}.norm2.beta"])
         if config.s_f > 1:
-            x = upsample(x, config.s_f, truncate_to=t_in)
             with mac_scope("upsample"):
                 x = add(matmul(x, p["upsample.weight"]), p["upsample.bias"])
+            x = upsample(x, config.s_f, truncate_to=t_in)
         return x
 
 

@@ -100,7 +100,8 @@ def masked_downsample(x, factor, valid: np.ndarray):
 
     A pooled row is valid iff any source row in its block is valid, and its
     value is the mean over just those valid rows. Blocks with no valid row
-    come out as zeros and are flagged invalid.
+    come out as zeros and are flagged invalid; at factor 1 that zeroes
+    every invalid row.
     """
     x = as_tensor(x)
     factor = _check_factor(factor)
@@ -110,7 +111,7 @@ def masked_downsample(x, factor, valid: np.ndarray):
     if valid.shape != (x.shape[0],):
         raise ShapeError(f"validity mask must have shape ({x.shape[0]},), got {valid.shape}")
     n = x.shape[0]
-    if factor == 1:
+    if factor == 1 and valid.all():
         return _identity(x), valid.copy()
     weights = valid.astype(x.data.dtype)
     counts = _block_sums(weights, factor)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention
-from .attention import (AttentionParams, PoolFactors, _shift_free, attend, multi_head_pooled,
-                        pooled_attend)
+from .attention import AttentionParams, PoolFactors, _shift_free, attend, multi_head_pooled
 from .ctc import ctc_loss, ctc_loss_bruteforce, greedy_decode
 from .data import synth_audio
 from .encoder import EncoderModel, preset
@@ -232,22 +231,35 @@ def _check_attend_oracle(seed):
     assert diff < 1e-12, f"attend deviates from scalar loop by {diff:.3e}"
 
 
+def _make_attn_params(rng: Rng, e: int, heads: int) -> AttentionParams:
+    return AttentionParams(
+        w_q=Tensor(_rand(rng.fork("wq"), e, e) / np.sqrt(e)),
+        w_k=Tensor(_rand(rng.fork("wk"), e, e) / np.sqrt(e)),
+        w_v=Tensor(_rand(rng.fork("wv"), e, e) / np.sqrt(e)),
+        w_o=Tensor(_rand(rng.fork("wo"), e, e) / np.sqrt(e)),
+        heads=heads,
+    )
+
+
 def _check_pooled_degenerate(seed):
     rng = Rng(seed).fork("pooled-1")
-    q, k, v = _rand(rng, 6, 4), _rand(rng, 6, 4), _rand(rng, 6, 4)
-    plain = attend(Tensor(q), Tensor(k), Tensor(v)).data
-    pooled = pooled_attend(Tensor(q), Tensor(k), Tensor(v), PoolFactors(1, 1)).data
+    x = Tensor(_rand(rng, 6, 4))
+    params = _make_attn_params(rng, 4, 2)
+    plain = matmul(attend(matmul(x, params.w_q), matmul(x, params.w_k), matmul(x, params.w_v),
+                          heads=2), params.w_o).data
+    pooled = multi_head_pooled(x, params, PoolFactors(1, 1)).data
     diff = np.abs(plain - pooled).max()
     assert diff == 0.0, f"pooled (1,1) not bit-identical, diff {diff:.3e}"
 
 
 def _check_pooled_composition(seed):
+    # the reference projects first and pools afterwards, the order the model does not run
     rng = Rng(seed).fork("pooled-2")
-    q, k, v = _rand(rng, 8, 4), _rand(rng, 8, 4), _rand(rng, 8, 4)
-    got = pooled_attend(Tensor(q), Tensor(k), Tensor(v), PoolFactors(s_q=2, s_k=2)).data
-    composed = upsample(
-        attend(downsample(Tensor(q), 2), downsample(Tensor(k), 2), downsample(Tensor(v), 2)),
-        2, truncate_to=8).data
+    x = Tensor(_rand(rng, 8, 4))
+    params = _make_attn_params(rng, 4, 2)
+    got = multi_head_pooled(x, params, PoolFactors(s_q=2, s_k=2)).data
+    q, k, v = (downsample(matmul(x, w), 2) for w in (params.w_q, params.w_k, params.w_v))
+    composed = matmul(upsample(attend(q, k, v, heads=2), 2, truncate_to=8), params.w_o).data
     diff = np.abs(got - composed).max()
     assert diff < 1e-12, f"pooled attention differs from composed operators by {diff:.3e}"
 
@@ -265,16 +277,6 @@ def _check_attention_mask_permutation(seed):
     swapped = attend(Tensor(q), Tensor(k2), Tensor(v2), mask).data
     diff = np.abs(base - swapped).max()
     assert diff < 1e-12, f"masked keys leaked into output, diff {diff:.3e}"
-
-
-def _make_attn_params(rng: Rng, e: int, heads: int) -> AttentionParams:
-    return AttentionParams(
-        w_q=Tensor(_rand(rng.fork("wq"), e, e) / np.sqrt(e)),
-        w_k=Tensor(_rand(rng.fork("wk"), e, e) / np.sqrt(e)),
-        w_v=Tensor(_rand(rng.fork("wv"), e, e) / np.sqrt(e)),
-        w_o=Tensor(_rand(rng.fork("wo"), e, e) / np.sqrt(e)),
-        heads=heads,
-    )
 
 
 def _check_multi_head_gradients(seed):

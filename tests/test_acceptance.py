@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import test_encoder
-from stochpool.attention import AttentionParams, PoolFactors, attend, multi_head_pooled, pooled_attend
+from stochpool.attention import AttentionParams, PoolFactors, attend, multi_head_pooled
 from stochpool.cost_model import analytic_cost, instrumented_macs, measure
 from stochpool.ctc import collapse, ctc_loss, ctc_loss_bruteforce, greedy_decode, min_frames
 from stochpool.data import SineFeatureDataset, SymbolFeatureDataset
@@ -137,9 +137,11 @@ def test_criterion_1_degenerate_equivalence():
     # pooled attention at (1,1) vs plain attention
     worst_attend = 0.0
     for trial in range(10):
-        q, k, v = (rand(3 * trial + i, 7, 4) for i in range(3))
-        plain = attend(Tensor(q), Tensor(k), Tensor(v)).data
-        pooled = pooled_attend(Tensor(q), Tensor(k), Tensor(v), PoolFactors(1, 1)).data
+        x = Tensor(rand(3 * trial, 7, 4))
+        w_q, w_k, w_v, w_o = (Tensor(w) for w in rand(3 * trial + 1, 4, 4, 4) / 2.0)
+        params = AttentionParams(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, heads=1)
+        plain = matmul(attend(matmul(x, w_q), matmul(x, w_k), matmul(x, w_v)), w_o).data
+        pooled = multi_head_pooled(x, params, PoolFactors(1, 1)).data
         worst_attend = max(worst_attend, np.abs(plain - pooled).max())
     assert worst_attend <= 1e-14
 
@@ -216,12 +218,16 @@ def test_criterion_3_gradient_suite():
                                masked_downsample(a, 2, valid)[0])),
          [rand(533, 8, 3)]))
     tgt_attend = Tensor(rand(534, 6, 4))
+
+    def pooled_loss(x, w_q, w_k, w_v, w_o, factors):
+        params = AttentionParams(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, heads=1)
+        return sum_all(mul(multi_head_pooled(x, params, factors), tgt_attend))
+
     for s_q, s_k in itertools.product((1, 2), repeat=2):
         op_cases.append(
-            (f"pooled_attend_{s_q}{s_k}",
-             lambda q, k, v, s_q=s_q, s_k=s_k: sum_all(mul(
-                 pooled_attend(q, k, v, PoolFactors(s_q=s_q, s_k=s_k)), tgt_attend)),
-             [rand(535, 6, 4), rand(536, 6, 4), rand(537, 6, 4)]))
+            (f"multi_head_pooled_{s_q}{s_k}",
+             lambda *a, f=PoolFactors(s_q=s_q, s_k=s_k): pooled_loss(*a, f),
+             [rand(535, 6, 4)] + [rand(seed, 4, 4) / 2.0 for seed in (536, 537, 538, 539)]))
     worst = 0.0
     for name, fn, arrays in op_cases:
         worst = max(worst, check_gradients(fn, arrays))

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from stochpool import verify
 from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, AttentionParams, PoolFactors, _shift_free,
-                                 attend, multi_head_pooled, pooled_attend)
+                                 attend, multi_head_pooled)
 from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
-from stochpool.pooling import downsample, upsample
+from stochpool.pooling import downsample, masked_downsample, upsample
 from stochpool.stochastic import Rng
-from stochpool.tensor import Tape, Tensor, concat, matmul, mul, sum_all
+from stochpool.tensor import Tape, Tensor, backward, concat, matmul, mul, sum_all
 
 
 def rand(seed, *shape):
@@ -78,38 +79,88 @@ class TestAttend:
 
 class TestPooledAttend:
     def test_factor_one_bit_identical(self):
-        q, k, v = rand(22, 6, 4), rand(23, 6, 4), rand(24, 6, 4)
-        plain = attend(Tensor(q), Tensor(k), Tensor(v)).data
-        pooled = pooled_attend(Tensor(q), Tensor(k), Tensor(v), PoolFactors(1, 1)).data
-        assert np.array_equal(plain, pooled)
+        for seed in range(3):
+            verify._check_pooled_degenerate(seed)
 
     def test_two_rows_fully_pooled(self):
-        q, k, v = rand(25, 2, 4), rand(26, 2, 4), rand(27, 2, 4)
-        out = pooled_attend(Tensor(q), Tensor(k), Tensor(v),
-                            PoolFactors(s_q=2, s_k=2)).data
-        want = v.mean(axis=0)  # single pooled key -> its value row, replicated
+        x = rand(25, 2, 4)
+        params = params_for(26, 4, 2)
+        out = multi_head_pooled(Tensor(x), params, PoolFactors(s_q=2, s_k=2)).data
+        # single pooled key -> its value row, projected by w_o and replicated
+        want = x.mean(axis=0) @ params.w_v.data @ params.w_o.data
         assert np.abs(out - want).max() < 1e-12
         assert np.array_equal(out[0], out[1])
 
     def test_composition_oracle(self):
-        q, k, v = rand(28, 8, 4), rand(29, 8, 4), rand(30, 8, 4)
-        got = pooled_attend(Tensor(q), Tensor(k), Tensor(v),
-                            PoolFactors(s_q=2, s_k=2)).data
-        composed = upsample(
-            attend(downsample(Tensor(q), 2), downsample(Tensor(k), 2),
-                   downsample(Tensor(v), 2)),
-            2, truncate_to=8).data
-        assert np.abs(got - composed).max() < 1e-12
+        for seed in range(3):
+            verify._check_pooled_composition(seed)
 
     def test_query_pool_blockwise_constant(self):
-        q, k, v = rand(31, 8, 4), rand(32, 8, 4), rand(33, 8, 4)
-        out = pooled_attend(Tensor(q), Tensor(k), Tensor(v), PoolFactors(s_q=2, s_k=1)).data
+        x = rand(31, 8, 4)
+        out = multi_head_pooled(Tensor(x), params_for(32, 4, 2), PoolFactors(s_q=2, s_k=1)).data
         for i in range(0, 8, 2):
             assert np.array_equal(out[i], out[i + 1])
 
     def test_factor_validation(self):
         with pytest.raises(ConfigError):
             PoolFactors(s_q=0, s_k=1)
+
+
+def project_then_pool(x, params, factors, mask=None):
+    """The reference order: project at full length, pool the projections,
+    attend, upsample, then apply w_o at full length."""
+    n = x.shape[0]
+    q, k, v = (matmul(x, w) for w in (params.w_q, params.w_k, params.w_v))
+    if factors.s_q > 1:
+        q = downsample(q, factors.s_q)
+    if factors.s_k > 1:
+        if mask is not None:
+            (k, pooled_mask), (v, _) = (masked_downsample(a, factors.s_k, mask) for a in (k, v))
+            mask = pooled_mask
+        else:
+            k, v = downsample(k, factors.s_k), downsample(v, factors.s_k)
+    out = attend(q, k, v, mask, params.heads)
+    if factors.s_q > 1:
+        out = upsample(out, factors.s_q, truncate_to=n)
+    return matmul(out, params.w_o)
+
+
+def output_and_gradients(fn, x, params, factors, mask, target):
+    """fn's output and the gradients of <fn(x), target> for x and the four weights."""
+    inputs = [Tensor(x)] + [Tensor(getattr(params, w).data)
+                            for w in ("w_q", "w_k", "w_v", "w_o")]
+    xt, wq, wk, wv, wo = inputs
+    p = AttentionParams(w_q=wq, w_k=wk, w_v=wv, w_o=wo, heads=params.heads)
+    with Tape():
+        out = fn(xt, p, factors, mask)
+        loss = sum_all(mul(out, Tensor(target)))
+    grads = backward(loss)
+    return [out.data] + [grads[t] for t in inputs]
+
+
+class TestPoolOrder:
+    """Pooling before projecting equals the project-then-pool reference."""
+
+    @pytest.mark.parametrize("s_q, s_k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+    def test_matches_project_then_pool(self, s_q, s_k, heads, n, masked):
+        e = 8
+        x = rand(70 + n, n, e)
+        params = params_for(71, e, heads)
+        target = rand(72 + n, n, e)
+        # rows 2 and 3 form an empty pooled block at s_k = 2; rows 4 and 5 a half-valid one
+        mask = np.array([True, True, False, False, True, False, True, True][:n]) if masked else None
+        factors = PoolFactors(s_q=s_q, s_k=s_k)
+        got = output_and_gradients(multi_head_pooled, x, params, factors, mask, target)
+        want = output_and_gradients(project_then_pool, x, params, factors, mask, target)
+        for name, a, b in zip(("out", "x", "w_q", "w_k", "w_v", "w_o"), got, want):
+            if (s_q, s_k) == (1, 1):
+                assert np.array_equal(a, b), name
+            else:
+                err = np.abs(a - b).max() / np.abs(b).max()
+                assert err <= 1e-12, f"{name}: relative error {err:.3g}"
 
 
 class TestMultiHeadPooled:

@@ -50,7 +50,8 @@ class TestAnalyticFormulas:
     def test_upsample_head_only_when_squeezing(self):
         enc = preset("tiny")
         assert analytic_cost(fixed_config(1, 2, 2, 2), enc, 50).macs_upsample == 0
-        assert analytic_cost(fixed_config(2, 1, 1, 2), enc, 50).macs_upsample == 50 * 64 * 64
+        # the head runs on the T' = 25 squeezed rows, before the upsample
+        assert analytic_cost(fixed_config(2, 1, 1, 2), enc, 50).macs_upsample == 25 * 64 * 64
 
     def test_per_layer_factors_attributed_individually(self):
         enc = preset("tiny")
@@ -69,14 +70,21 @@ class TestAnalyticFormulas:
 
 class TestInstrumentedOracle:
     def test_exact_match_all_tiny_configs(self):
+        # at 51 and 53 frames T' and the pooled lengths are odd, so both ceilings
+        # of n = ceil(ceil(T/s_f)/s) bite
         model = EncoderModel(preset("tiny"), seed=0)
-        for s_f, s_k, s_q in itertools.product((1, 2), repeat=3):
-            config = fixed_config(s_f, s_k, s_q, model.config.depth)
-            for from_audio in (False, True):
-                analytic = analytic_cost(config, model.config, 50, from_audio=from_audio)
-                counted = instrumented_macs(model, config, 50, from_audio=from_audio)
-                assert analytic.macs_total == counted.total, (
-                    f"{s_f}-{s_k}-{s_q} from_audio={from_audio}")
+        buckets = ("fe", "attn_proj", "attn_scores", "ffn", "upsample")
+        for frames in (50, 51, 53):
+            for s_f, s_k, s_q in itertools.product((1, 2), repeat=3):
+                config = fixed_config(s_f, s_k, s_q, model.config.depth)
+                for from_audio in (False, True):
+                    where = f"{s_f}-{s_k}-{s_q} T={frames} from_audio={from_audio}"
+                    analytic = analytic_cost(config, model.config, frames, from_audio=from_audio)
+                    counted = instrumented_macs(model, config, frames, from_audio=from_audio)
+                    assert analytic.macs_total == counted.total, where
+                    want = {b: getattr(analytic, f"macs_{b}") for b in buckets}
+                    got = {b: counted.by_scope.get(b, 0) for b in buckets}
+                    assert got == want and set(counted.by_scope) <= set(buckets), where
 
     def test_buckets_match_counter_scopes(self):
         model = EncoderModel(preset("tiny"), seed=0)
