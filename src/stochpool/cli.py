@@ -99,10 +99,7 @@ def _overrides_from_args(args) -> dict:
 
 
 def _load_run_config(args) -> RunConfig:
-    path = Path(args.config_file)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    config = load_config(path)
+    config = load_config(args.config_file)
     return apply_overrides(config, _overrides_from_args(args))
 
 

@@ -192,7 +192,10 @@ class ManifestEntry:
 def read_manifest(path) -> list:
     """Parse `audio_path<TAB>transcript` lines; transcript may be empty."""
     entries = []
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read manifest ({exc})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

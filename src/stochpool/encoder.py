@@ -311,7 +311,8 @@ class EncoderModel:
         normed = np.array(audio, dtype=np.float64)
         normed -= normed.mean()
         normed /= np.sqrt(normed.var() + 1e-8)
-        x = Tensor(normed.reshape(-1, 1), dtype=self.dtype)
+        x = as_tensor(normed.reshape(-1, 1), dtype=self.dtype)
+        del normed  # a float32 model has its own copy: free the float64 one before the convs
         p = self.params
         with mac_scope("fe"):
             for i, (_, stride, _) in enumerate(self.fe.layers):
@@ -323,7 +324,7 @@ class EncoderModel:
     def _positional(self, x: Tensor) -> Tensor:
         cfg = self.config
         pad = (cfg.pos_conv_kernel - 1) // 2
-        zeros = Tensor(np.zeros((pad, cfg.model_dim), dtype=self.dtype))
+        zeros = np.zeros((pad, cfg.model_dim), dtype=self.dtype)
         padded = concat([zeros, x, zeros], axis=0)
         with mac_scope("fe"):
             conv = conv1d(padded, self.params["pos_conv.weight"],
@@ -430,10 +431,14 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a file written by ``save_checkpoint``.
 
     Every read is bounds-checked: a truncated or corrupt file, or one with
-    bytes after the last tensor, raises InputError naming the offset.
+    bytes after the last tensor, raises InputError naming the offset; an
+    unreadable path raises InputError naming the path.
     """
-    with open(path, "rb") as fh:
-        view = memoryview(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            view = memoryview(fh.read())
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read checkpoint ({exc})") from None
     offset = 0
 
     def take(n: int, what: str) -> memoryview:

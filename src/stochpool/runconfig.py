@@ -103,7 +103,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc})") from None
+    return parse_config_text(text, source=str(path))
 
 
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:

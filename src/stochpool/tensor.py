@@ -7,6 +7,14 @@ active append a record with the saved values needed for their backward
 pass; ``backward(loss)`` replays the records in exact reverse execution
 order and accumulates adjoints additively per tensor.
 
+Only explicit ``Tensor(...)`` values are differentiable leaves. Arrays
+handed to an op are wrapped by ``as_tensor`` as constants, which have no
+gradient anyone can ask for: under a tape an op whose inputs are all
+constants is not recorded and returns a constant, the reverse sweep
+drops the adjoints of constant inputs, and ``matmul``/``conv1d`` skip the
+products a constant operand would get. No value or gradient that is
+computed depends on which inputs are constants.
+
 Broadcasting is restricted to bias-add over rows; every other shape
 mismatch is an error. ``matmul`` and ``conv1d`` report their
 multiply-accumulate counts to an active :class:`MacCounter`, which is how
@@ -53,8 +61,9 @@ class Tensor:
     """Immutable dense value, optionally tracked by a gradient tape.
 
     ``data`` is a numpy array; ``grad_id`` is the handle under which tapes
-    accumulate this tensor's adjoint; ``tape`` is the tape that recorded
-    the op producing it (None for leaves and constants). Tensor values
+    accumulate this tensor's adjoint, None for a constant (see
+    ``as_tensor``); ``tape`` is the tape that recorded the op producing it
+    (None for leaves and constants). Tensor values
     must not be written through after creation; training code rebinds
     ``.data`` between tapes instead.
     """
@@ -93,7 +102,17 @@ class Tensor:
 
 
 def as_tensor(value, dtype=None) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
+    """``value`` itself if it is a Tensor, else a constant holding it.
+
+    A constant (``grad_id`` None) never receives a gradient, so data that
+    callers hand over as arrays stays off the tape; wrap a value in an
+    explicit ``Tensor`` to differentiate with respect to it.
+    """
+    if isinstance(value, Tensor):
+        return value
+    out = Tensor(value, dtype=dtype)
+    out.grad_id = None
+    return out
 
 
 class GradientMap:
@@ -124,7 +143,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (out_id, input_ids, backward_fn)
+        self._records = []  # (out_id, input_ids, backward_fn); None ids are constants
         self._consumed = False
 
     def __enter__(self):
@@ -161,8 +180,8 @@ class Tape:
             if g is None:
                 continue  # output never reached the loss
             for in_id, in_grad in zip(input_ids, backward_fn(g)):
-                if in_grad is None:
-                    continue
+                if in_id is None or in_grad is None:
+                    continue  # a constant input, or an adjoint the op skipped
                 acc = grads.get(in_id)
                 grads[in_id] = in_grad if acc is None else acc + in_grad
         return GradientMap(grads)
@@ -237,14 +256,18 @@ def mac_scope(label: str):
 
 
 def _wrap(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
-    """Make the result tensor and record it if a tape is active."""
+    """Make the result tensor and record it if a tape is active; under a
+    tape, an op on constants only is not recorded and returns a constant."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad_id = next(_uid)
     out.tape = None
     tape = _active_tape()
     if tape is not None:
-        tape._record(out, inputs, backward_fn)
+        if any(t.grad_id is not None for t in inputs):
+            tape._record(out, inputs, backward_fn)
+        else:
+            out.grad_id = None
     return out
 
 
@@ -264,7 +287,8 @@ def _merge_groups(a: np.ndarray) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of two 2-D tensors."""
+    """Matrix product of two 2-D tensors; the backward skips the product
+    for a constant operand."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
@@ -276,7 +300,8 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return (None if a.grad_id is None else g @ bd.T,
+                None if b.grad_id is None else ad.T @ g)
 
     return _wrap(ad @ bd, (a, b), bwd)
 
@@ -459,7 +484,8 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
     so the windows are the rows of a strided view of the input and each
     group's forward is one GEMM with tap-major weights. The backward gets
     dw from the same view, one GEMM per group, and scatters dx with k
-    strided adds over all channels.
+    strided adds over all channels; for a constant input it returns dw
+    only.
     """
     a, w = as_tensor(a), as_tensor(w)
     if a.ndim != 2 or w.ndim != 3:
@@ -504,12 +530,15 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
 
     def bwd(g):
         dw = np.empty_like(wd)
-        contrib = np.empty((l_out, groups, k * c_in_g), dtype=g.dtype)
         for gi in range(groups):
             cols = slice(gi * co_g, (gi + 1) * co_g)
             windows = np.ascontiguousarray(rows[gi])
             dw[cols] = (windows.T @ g[:, cols]).reshape(k, c_in_g, co_g).transpose(2, 1, 0)
-            np.matmul(g[:, cols], tap_major(gi).T, out=contrib[:, gi])
+        if a.grad_id is None:
+            return None, dw
+        contrib = np.empty((l_out, groups, k * c_in_g), dtype=g.dtype)
+        for gi in range(groups):
+            np.matmul(g[:, gi * co_g:(gi + 1) * co_g], tap_major(gi).T, out=contrib[:, gi])
         # tap j of window t lands on frame t * stride + j, for all channels at once
         dx = np.zeros((length, groups, c_in_g), dtype=g.dtype)
         taps = contrib.reshape(l_out, groups, k, c_in_g)

@@ -28,6 +28,7 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    as_tensor,
     backward,
     matmul,
     mul,
@@ -180,11 +181,13 @@ def _batch_indices(rng: Rng, step: int, n: int, batch_size: int) -> list:
 
 
 def _utterance_features(model: EncoderModel, utt, freeze_extractor: bool):
+    """Encoder input for one utterance: a constant, unless the extractor
+    trains, in which case its output carries the extractor's gradients."""
     if utt.features is not None:
-        return Tensor(utt.features, dtype=model.dtype)
+        return as_tensor(utt.features, dtype=model.dtype)
     if freeze_extractor:
         with no_grad():
-            return Tensor(model.extract_features(utt.audio).data)
+            return as_tensor(model.extract_features(utt.audio).data)
     return model.extract_features(utt.audio)
 
 
@@ -204,13 +207,13 @@ def _masked_regression_loss(model: EncoderModel, mask_embedding: Tensor,
                             features: Tensor, mask: np.ndarray,
                             config: CompressionConfig):
     frames, dim = features.shape
-    keep = Tensor((~mask)[:, None].astype(features.dtype) * np.ones((1, dim), features.dtype))
-    column = Tensor(mask[:, None].astype(features.dtype))
+    keep = (~mask)[:, None].astype(features.dtype) * np.ones((1, dim), features.dtype)
+    column = mask[:, None].astype(features.dtype)
     masked_input = add(mul(features, keep), matmul(column, mask_embedding))
     predicted = model.forward(masked_input, config)
-    diff = sub(predicted, Tensor(features.data))
-    masked_sq = mul(mul(diff, diff), Tensor(mask[:, None].astype(features.dtype)
-                                            * np.ones((1, dim), features.dtype)))
+    diff = sub(predicted, features.data)
+    masked_sq = mul(mul(diff, diff), mask[:, None].astype(features.dtype)
+                    * np.ones((1, dim), features.dtype))
     count = max(1, int(mask.sum()))
     return scale(sum_all(masked_sq), 1.0 / (count * dim))
 

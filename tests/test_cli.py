@@ -133,6 +133,40 @@ class TestPretrainCommand:
         assert "stepz" in capsys.readouterr().err
 
 
+def _unreadable_argv(tmp_path, bad, kind):
+    """Command line that reaches the unreadable file ``bad`` as input ``kind``."""
+    if kind == "config":
+        return ["pretrain", str(bad)]
+    if kind == "checkpoint":
+        wav = tmp_path / "a.wav"
+        write_wav(wav, synth_audio(3))
+        return ["decode", str(bad), str(wav)]
+    key = {"config-checkpoint": "checkpoint", "manifest": "dataset"}[kind]
+    cfg = write_cfg(tmp_path / "run.cfg", output_dir=tmp_path / "out", **{key: bad})
+    return ["finetune", str(cfg)]
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("kind,problem", [
+        ("config", "directory"),
+        ("config", "not-utf8"),
+        ("checkpoint", "missing"),
+        ("checkpoint", "directory"),
+        ("config-checkpoint", "missing"),
+        ("manifest", "missing"),
+        ("manifest", "not-utf8"),
+    ])
+    def test_exits_two_naming_the_path(self, tmp_path, capsys, kind, problem):
+        bad = tmp_path / "bad"
+        if problem == "directory":
+            bad.mkdir()
+        elif problem == "not-utf8":
+            bad.write_bytes(b"a.wav\t\xff\xfe\n")
+        assert run(*_unreadable_argv(tmp_path, bad, kind)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def finetuned(tmp_path_factory):
     root = tmp_path_factory.mktemp("ft")

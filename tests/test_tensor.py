@@ -1,12 +1,15 @@
 """Tensor engine: operator semantics, tape behavior, gradient oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from stochpool.attention import attend
+from stochpool.encoder import EncoderModel, preset
 from stochpool.errors import ConfigError, ShapeError, UsageError
 from stochpool.gradcheck import check_gradients
-from stochpool.stochastic import Rng
+from stochpool.stochastic import Rng, fixed_config
 from stochpool.tensor import (
     Tape,
     Tensor,
@@ -433,3 +436,76 @@ class TestInPlaceElementwise:
         layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5)))
         conv1d(Tensor(x), Tensor(rand(411, 4, 5, 2)))
         assert np.array_equal(x, before)
+
+
+class TestConstants:
+    """Arrays handed to ops are constants: never recorded on their own,
+    never given a gradient, and skipped by the products that would feed one."""
+
+    @pytest.mark.parametrize("with_valid", [False, True], ids=["dense", "valid"])
+    @pytest.mark.parametrize("factors", list(itertools.product((1, 2), repeat=3)),
+                             ids=lambda f: "-".join(map(str, f)))
+    def test_forward_from_array_matches_forward_from_tensor(self, factors, with_valid):
+        model = EncoderModel(preset("tiny"), seed=5)
+        config = fixed_config(*factors, model.config.depth)
+        feats = rand(800, 21, model.config.model_dim)
+        valid = np.arange(21) < 17 if with_valid else None
+        up = rand(801, 21, model.config.model_dim)
+
+        def param_grads(features):
+            with Tape():
+                loss = sum_all(mul(model.forward(features, config, valid), up))
+            return backward(loss)
+
+        leaf = Tensor(feats)
+        from_tensor, from_array = param_grads(leaf), param_grads(feats)
+        params = {p.grad_id for p in model.params.values()}
+        assert set(from_tensor._by_id) - params == {leaf.grad_id}
+        assert set(from_array._by_id) <= params
+        for name, p in model.params.items():
+            assert (p in from_array) == (p in from_tensor), name
+            if p in from_tensor:
+                assert np.array_equal(from_array[p], from_tensor[p]), name
+
+    def test_op_on_constants_is_not_recorded(self):
+        x = Tensor(rand(810, 3, 4))
+        with Tape() as tape:
+            const = gelu(matmul(rand(811, 3, 3), rand(812, 3, 4)))
+            assert const.grad_id is None and const.tape is None
+            assert tape._records == []
+            mixed = add(x, const)
+            assert mixed.tape is tape and len(tape._records) == 1
+            loss = sum_all(mixed)
+        assert np.array_equal(backward(loss)[x], np.ones((3, 4)))
+
+    def test_backward_from_constants_only_rejected(self):
+        with Tape():
+            loss = sum_all(mul(rand(813, 2, 2), rand(814, 2, 2)))
+        assert loss.grad_id is None
+        with pytest.raises(UsageError):
+            backward(loss)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_constant_operand(self, dtype):
+        a, b = rand(820, 5, 3).astype(dtype), rand(821, 3, 4).astype(dtype)
+        up = rand(822, 5, 4).astype(dtype)
+        da, db = tape_grads(matmul, [a, b], up)
+        (only_a,) = tape_grads(lambda t: matmul(t, b), [a], up)
+        (only_b,) = tape_grads(lambda t: matmul(a, t), [b], up)
+        assert np.array_equal(only_a, da) and np.array_equal(only_b, db)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv1d_constant_operand(self, shape, dtype):
+        length, c_in, c_out, k, stride, groups = shape
+        x = rand(830 + length, length, c_in).astype(dtype)
+        w = (rand(840 + k, c_out, c_in // groups, k) / np.sqrt(k * c_in // groups)).astype(dtype)
+        up = rand(850 + k, (length - k) // stride + 1, c_out).astype(dtype)
+
+        def conv(a, b):
+            return conv1d(a, b, stride=stride, groups=groups)
+
+        dx, dw = tape_grads(conv, [x, w], up)
+        (only_w,) = tape_grads(lambda t: conv(x, t), [w], up)
+        (only_x,) = tape_grads(lambda t: conv(t, w), [x], up)
+        assert np.array_equal(only_w, dw) and np.array_equal(only_x, dx)

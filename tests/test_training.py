@@ -231,6 +231,45 @@ class TestFinetune:
         assert np.isfinite(result.best_val_loss)
 
 
+class TestDataOffTape:
+    """One step of each training entry point records no op on constants only,
+    and the positional conv differentiates its input only where a trainable
+    value (the extractor, the mask embedding) reaches it."""
+
+    @pytest.mark.parametrize("entry", ["features", "audio", "audio-frozen", "pretrain"])
+    def test_recorded_inputs(self, monkeypatch, entry):
+        model = tiny_model(seed=14)
+        records = []
+        record = Tape._record
+
+        def spy(tape, out, inputs, backward_fn):
+            records.append(inputs)
+            return record(tape, out, inputs, backward_fn)
+
+        monkeypatch.setattr(Tape, "_record", spy)
+        if entry == "pretrain":
+            pretrain_toy(model, pretrain_plan(steps=1, seed=14), SineFeatureDataset(4, 64, seed=14))
+        elif entry == "features":
+            finetune(model, ctc_plan(steps=1, seed=14), SymbolFeatureDataset(4, 64, seed=14),
+                     vocab=4)
+        else:
+            audio = [Utterance(audio=synth_audio(14 + i), labels=(1, 2)) for i in range(2)]
+            finetune(model, ctc_plan(steps=1, seed=14, freeze_extractor=entry == "audio-frozen"),
+                     audio, vocab=4)
+
+        assert records
+        assert all(any(t.grad_id is not None for t in inputs) for inputs in records)
+        pos_conv = [inputs[0] for inputs in records
+                    if inputs[-1] is model.params["pos_conv.weight"]]
+        assert len(pos_conv) == 2  # one per utterance of the batch
+        trainable_input = entry in ("audio", "pretrain")
+        assert all((x.grad_id is not None) == trainable_input for x in pos_conv)
+        if entry == "audio":  # the normalised audio itself is data
+            first_conv = [inputs[0] for inputs in records
+                          if inputs[-1] is model.params["fe.conv0.weight"]]
+            assert len(first_conv) == 2 and all(x.grad_id is None for x in first_conv)
+
+
 class TestEvaluate:
     def test_training_config_is_best_among_standard_soft(self):
         # soft check: a deterministically fine-tuned model should score best
