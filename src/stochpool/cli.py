@@ -1,7 +1,9 @@
 """Command-line surface: verify, pretrain, finetune, sweep, decode, cost.
 
 Exit codes: 0 success, 1 verification or metric failure, 2 usage/config
-error. Every command honors --seed and writes enough state to replay a
+error. Every command honors --seed. pretrain, finetune and sweep read a
+run config file; each of their flags is a config key override (flags win
+over file keys), so the ``effective_config.txt`` they write replays the
 run exactly.
 """
 
@@ -9,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
-from . import pooling
 from .cost_model import analytic_cost, sweep, write_csv, write_json, write_profile
+from .ctc import greedy_decode
 from .data import (
     ManifestDataset,
     SineFeatureDataset,
@@ -36,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--filter", default=None, help="substring of group or check name")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--inject-fault", choices=["upsample-truncation"], default=None,
-                          help="test hook: break an operator to prove checks catch it")
 
     for name in ("pretrain", "finetune"):
         p = sub.add_parser(name, help=f"{name} a model from a run config file")
@@ -54,10 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="cost/accuracy table over configurations")
     p_sweep.add_argument("config_file")
     p_sweep.add_argument("--configs", default=None,
-                         help="extra comma-separated triplets beyond the standard four")
+                         help="extra comma-separated triplets beyond the standard four "
+                              "(sets sweep_configs)")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--no-measure", action="store_true",
-                         help="analytic columns only, skip wall-time measurement")
+                         help="analytic columns only, skip wall-time measurement "
+                              "(sets measure = false)")
     p_sweep.add_argument("--output-dir", default=None)
     p_sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
@@ -95,6 +96,10 @@ def _overrides_from_args(args) -> dict:
         overrides["steps"] = args.steps
     if getattr(args, "output_dir", None) is not None:
         overrides["output_dir"] = args.output_dir
+    if getattr(args, "configs", None) is not None:
+        overrides["sweep_configs"] = args.configs
+    if getattr(args, "no_measure", False):
+        overrides["measure"] = "false"
     return overrides
 
 
@@ -126,7 +131,6 @@ def _plan(rc: RunConfig, loss: str, depth: int) -> TrainPlan:
         sets=_factor_sets(rc) if rc.mode == "stochastic" else None,
         fixed=_fixed_from(rc, depth) if rc.mode == "deterministic" else None,
         eval_interval=rc.eval_interval,
-        randomize_validation=rc.randomize_validation,
         freeze_extractor=rc.freeze_extractor,
     )
 
@@ -160,33 +164,8 @@ def _labeled_datasets(rc: RunConfig, model_dim: int):
     return train, None, len(train.vocab), train.vocab
 
 
-@contextmanager
-def _upsample_ignoring_truncation():
-    """Swap in an ``upsample`` that ignores ``truncate_to`` wherever stochpool
-    modules look it up, so pooled outputs lose their original length: the
-    fault that ``verify --inject-fault upsample-truncation`` must detect."""
-    real = pooling.upsample
-
-    def faulty(x, factor, truncate_to=None):
-        return real(x, factor)
-
-    modules = [m for name, m in sys.modules.items()
-               if name.startswith("stochpool") and getattr(m, "upsample", None) is real]
-    for module in modules:
-        module.upsample = faulty
-    try:
-        yield
-    finally:
-        for module in modules:
-            module.upsample = real
-
-
 def cmd_verify(args) -> int:
-    if args.inject_fault == "upsample-truncation":
-        with _upsample_ignoring_truncation():
-            results = run_checks(args.filter, seed=args.seed)
-    else:
-        results = run_checks(args.filter, seed=args.seed)
+    results = run_checks(args.filter, seed=args.seed)
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return 2
@@ -251,19 +230,10 @@ STANDARD_SWEEP = ("1-1-1", "2-1-1", "2-2-1", "2-2-2")
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
-    if rc.checkpoint:
-        ck = load_checkpoint(rc.checkpoint)
-        model, extras = ck.build_model()
-        head = _head_from(extras)
-        vocab = ck.meta.get("vocab_size", rc.vocab_size)
-    else:
-        model = EncoderModel(preset(rc.preset), seed=rc.seed)
-        head, vocab = None, rc.vocab_size
-    triplets = list(STANDARD_SWEEP)
-    if args.configs:
-        triplets.extend(t for t in args.configs.split(",") if t.strip())
-    if rc.sweep_configs:
-        triplets.extend(t for t in rc.sweep_configs.split(",") if t.strip())
+    model, extras, meta = _model_from(rc)
+    head = _head_from(extras)
+    vocab = meta.get("vocab_size", rc.vocab_size)
+    triplets = list(STANDARD_SWEEP) + [t for t in rc.sweep_configs.split(",") if t.strip()]
     configs = [fixed_config(*parse_triplet(t), model.config.depth) for t in triplets]
     if head is not None:
         dataset = SymbolFeatureDataset(rc.utterances, model.config.model_dim,
@@ -274,7 +244,7 @@ def cmd_sweep(args) -> int:
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)
     reports = sweep(model, configs, dataset, preset=rc.preset, repeats=rc.repeats,
-                    head=head, measure_time=rc.measure and not args.no_measure)
+                    head=head, measure_time=rc.measure)
     write_csv(out / "sweep.csv", reports)
     write_json(out / "sweep.json", reports)
     write_profile(out / "sweep_profile.json", reports)
@@ -312,8 +282,6 @@ def cmd_decode(args) -> int:
     s_f, s_k, s_q = parse_triplet(args.config)
     config = fixed_config(s_f, s_k, s_q, model.config.depth)
     inverse = {int(i): tok for tok, i in ck.meta.get("token_vocab", {}).items()}
-    from .ctc import greedy_decode
-
     for path in args.audio:
         audio = read_wav(path)
         feats = model.extract_features(audio)

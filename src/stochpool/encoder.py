@@ -246,7 +246,9 @@ class EncoderModel:
 
     Parameters live in an ordered name -> Tensor dict. The Tensor objects
     stay stable across training steps (optimizers rebind ``.data``), which
-    is what lets gradient maps be looked up by tensor.
+    is what lets gradient maps be looked up by tensor. ``params`` given as
+    Tensors of the model's dtype are kept as they are, so a tape sees the
+    caller's tensors; other values are wrapped, cast to the dtype.
     """
 
     def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float64, params=None):
@@ -265,12 +267,22 @@ class EncoderModel:
             for name, shape in shapes.items():
                 if name not in params:
                     raise InputError(f"missing parameter {name!r}")
-                value = params[name].data if isinstance(params[name], Tensor) else params[name]
+                value = params[name]
                 if tuple(value.shape) != shape:
                     raise ShapeError(f"parameter {name!r} has shape {tuple(value.shape)}, "
                                      f"expected {shape}")
-                self.params[name] = Tensor(np.asarray(value), dtype=self.dtype)
-        self._attn_cache = {}
+                if isinstance(value, Tensor) and value.dtype == self.dtype:
+                    self.params[name] = value
+                else:
+                    data = value.data if isinstance(value, Tensor) else value
+                    self.params[name] = Tensor(np.asarray(data), dtype=self.dtype)
+        p = self.params
+        self.attention = [
+            AttentionParams(w_q=p[f"layer{i}.attn.w_q"], w_k=p[f"layer{i}.attn.w_k"],
+                            w_v=p[f"layer{i}.attn.w_v"], w_o=p[f"layer{i}.attn.w_o"],
+                            heads=config.heads)
+            for i in range(config.depth)
+        ]
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
@@ -278,20 +290,6 @@ class EncoderModel:
     def astype(self, dtype) -> "EncoderModel":
         return EncoderModel(self.config, dtype=dtype,
                             params={n: t.data for n, t in self.params.items()})
-
-    def _attn_params(self, i: int) -> AttentionParams:
-        cached = self._attn_cache.get(i)
-        if cached is None:
-            p = self.params
-            cached = AttentionParams(
-                w_q=p[f"layer{i}.attn.w_q"],
-                w_k=p[f"layer{i}.attn.w_k"],
-                w_v=p[f"layer{i}.attn.w_v"],
-                w_o=p[f"layer{i}.attn.w_o"],
-                heads=self.config.heads,
-            )
-            self._attn_cache[i] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # forward paths
@@ -358,7 +356,7 @@ class EncoderModel:
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
         for i, (s_k, s_q) in enumerate(config.per_layer):
-            attn_out = multi_head_pooled(x, self._attn_params(i),
+            attn_out = multi_head_pooled(x, self.attention[i],
                                          PoolFactors(s_q=s_q, s_k=s_k), v)
             x = layer_norm(add(x, attn_out),
                            p[f"layer{i}.norm1.gamma"], p[f"layer{i}.norm1.beta"])

@@ -1,8 +1,8 @@
 """Finite-difference gradient checking.
 
-These helpers are the independent side of every gradient check in the
-package: they only ever call the forward function, never the tape, so a
-bug in the backward pass cannot hide in them.
+This is the independent side of every gradient check in the package: the
+numeric gradient only ever calls the forward function, never the tape, so
+a bug in the backward pass cannot hide in it.
 """
 
 from __future__ import annotations
@@ -15,72 +15,17 @@ DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 
 
-def finite_difference(fn, arrays, index, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference gradient of scalar ``fn(*arrays)`` w.r.t. one array.
-
-    ``fn`` receives plain numpy arrays and returns a float. Every
-    coordinate of ``arrays[index]`` is perturbed, so keep inputs small.
-    """
-    base = [np.array(a, dtype=np.float64, copy=True) for a in arrays]
-    target = base[index]
-    grad = np.zeros_like(target)
-    it = np.nditer(target, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = target[idx]
-        target[idx] = orig + step
-        up = fn(*base)
-        target[idx] = orig - step
-        down = fn(*base)
-        target[idx] = orig
-        grad[idx] = (up - down) / (2.0 * step)
-        it.iternext()
-    return grad
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """max |a - n| / max(1, |a|, |n|), coordinate-wise."""
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def check_gradients(fn, arrays, step: float = DEFAULT_STEP,
+def check_gradients(fn, arrays, coords_per_array: int | None = None, seed: int = 0,
+                    step: float = DEFAULT_STEP,
                     tolerance: float = DEFAULT_TOLERANCE) -> float:
     """Compare tape gradients of scalar ``fn`` against central differences.
 
-    ``fn`` maps Tensors to a scalar Tensor. Returns the worst relative
-    error over all inputs; raises AssertionError above ``tolerance``.
-    """
-    tensors = [Tensor(a) for a in arrays]
-    with Tape():
-        loss = fn(*tensors)
-    grads = backward(loss)
-
-    def numeric_fn(*arrs):
-        return fn(*[Tensor(a) for a in arrs]).item()
-
-    worst = 0.0
-    for i, t in enumerate(tensors):
-        analytic = grads.get(t)
-        if analytic is None:
-            analytic = np.zeros_like(t.data)
-        numeric = finite_difference(numeric_fn, arrays, i, step=step)
-        worst = max(worst, relative_error(analytic, numeric))
-    if worst > tolerance:
-        raise AssertionError(f"gradient check failed: relative error {worst:.3e} > {tolerance:g}")
-    return worst
-
-
-def check_gradients_sampled(fn, arrays, coords_per_array: int = 5, seed: int = 0,
-                            step: float = DEFAULT_STEP,
-                            tolerance: float = DEFAULT_TOLERANCE) -> float:
-    """Gradient check probing only a random subset of coordinates.
-
-    For large parameter sets a full central-difference sweep is
-    prohibitive; sampling coordinates keeps the oracle independent while
-    bounding the number of forward evaluations.
+    ``fn`` maps Tensors to a scalar Tensor. Every coordinate of every
+    input is perturbed when ``coords_per_array`` is None; otherwise that
+    many coordinates per input, drawn without replacement from ``seed``,
+    which bounds the forward evaluations for large parameter sets.
+    Returns the worst relative error |a - n| / max(1, |a|, |n|) over the
+    probed coordinates; raises AssertionError above ``tolerance``.
     """
     tensors = [Tensor(a) for a in arrays]
     with Tape():
@@ -88,31 +33,28 @@ def check_gradients_sampled(fn, arrays, coords_per_array: int = 5, seed: int = 0
     grads = backward(loss)
 
     base = [np.array(a, dtype=np.float64, copy=True) for a in arrays]
-
-    def numeric_at(i, idx):
-        target = base[i]
-        orig = target[idx]
-        target[idx] = orig + step
-        up = fn(*[Tensor(a) for a in base]).item()
-        target[idx] = orig - step
-        down = fn(*[Tensor(a) for a in base]).item()
-        target[idx] = orig
-        return (up - down) / (2.0 * step)
-
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for i, t in enumerate(tensors):
+    for t, target in zip(tensors, base):
         analytic = grads.get(t)
         if analytic is None:
             analytic = np.zeros_like(t.data)
-        size = t.data.size
-        n = min(coords_per_array, size)
-        flat_choices = rng.choice(size, size=n, replace=False)
-        for flat in flat_choices:
-            idx = np.unravel_index(int(flat), t.data.shape)
-            numeric = numeric_at(i, idx)
-            worst = max(worst, relative_error(np.asarray(analytic[idx]), np.asarray(numeric)))
+        if coords_per_array is None:
+            coords = range(target.size)
+        else:
+            coords = rng.choice(target.size, size=min(coords_per_array, target.size),
+                                replace=False)
+        for flat in coords:
+            idx = np.unravel_index(int(flat), target.shape)
+            orig = target[idx]
+            target[idx] = orig + step
+            up = fn(*[Tensor(a) for a in base]).item()
+            target[idx] = orig - step
+            down = fn(*[Tensor(a) for a in base]).item()
+            target[idx] = orig
+            numeric = (up - down) / (2.0 * step)
+            taped = float(analytic[idx])
+            worst = max(worst, abs(taped - numeric) / max(1.0, abs(taped), abs(numeric)))
     if worst > tolerance:
-        raise AssertionError(f"sampled gradient check failed: relative error "
-                             f"{worst:.3e} > {tolerance:g}")
+        raise AssertionError(f"gradient check failed: relative error {worst:.3e} > {tolerance:g}")
     return worst

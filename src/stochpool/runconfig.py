@@ -28,7 +28,6 @@ class RunConfig:
     batch_size: int = 4
     learning_rate: float = 0.002
     eval_interval: int = 0
-    randomize_validation: bool = False
     freeze_extractor: bool = False
     dataset: str = "synthetic-sines"  # or synthetic-symbols, or a manifest path
     dataset_size: int = 64

@@ -322,17 +322,6 @@ def add(a, b) -> Tensor:
     raise ShapeError(f"add supports equal shapes or row-bias, got {a.shape} and {b.shape}")
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub requires equal shapes, got {a.shape} and {b.shape}")
-
-    def bwd(g):
-        return g, -g
-
-    return _wrap(a.data - b.data, (a, b), bwd)
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product of equal-shaped tensors."""
     a, b = as_tensor(a), as_tensor(b)
@@ -344,17 +333,6 @@ def mul(a, b) -> Tensor:
         return g * bd, g * ad
 
     return _wrap(ad * bd, (a, b), bwd)
-
-
-def scale(a, c) -> Tensor:
-    """Multiply by a Python scalar."""
-    a = as_tensor(a)
-    c = float(c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _wrap(a.data * c, (a,), bwd)
 
 
 def gelu(a) -> Tensor:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +33,12 @@ from .tensor import (
     matmul,
     mul,
     no_grad,
-    scale,
-    sub,
     sum_all,
 )
 
 MASK_FRACTION = 0.3
 MASK_SPAN = 3
+WARMUP_FRACTION = 0.1  # of the run's steps, at least one step
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 50
 
@@ -56,9 +55,7 @@ class TrainPlan:
     loss: str  # "masked_regression" | "ctc"
     sets: FactorSets | None = None
     fixed: CompressionConfig | None = None
-    warmup_frac: float = 0.1
     eval_interval: int = 0  # 0 -> no validation-based selection
-    randomize_validation: bool = False
     freeze_extractor: bool = False
 
     def __post_init__(self):
@@ -211,11 +208,11 @@ def _masked_regression_loss(model: EncoderModel, mask_embedding: Tensor,
     column = mask[:, None].astype(features.dtype)
     masked_input = add(mul(features, keep), matmul(column, mask_embedding))
     predicted = model.forward(masked_input, config)
-    diff = sub(predicted, features.data)
+    diff = add(predicted, -features.data)
     masked_sq = mul(mul(diff, diff), mask[:, None].astype(features.dtype)
                     * np.ones((1, dim), features.dtype))
     count = max(1, int(mask.sum()))
-    return scale(sum_all(masked_sq), 1.0 / (count * dim))
+    return mul(sum_all(masked_sq), np.asarray(1.0 / (count * dim), dtype=features.dtype))
 
 
 def _accumulate(total: dict, params: dict, grads: GradientMap):
@@ -257,7 +254,7 @@ def _run_loop(model, aux_params, plan, dataset, loss_fn, phase, val_fn=None):
     root = Rng(plan.seed).fork(phase)
     config_rng = root.fork("configs")
     data_rng = root.fork("data")
-    warmup = max(1, int(round(plan.warmup_frac * plan.steps))) if plan.steps else 0
+    warmup = max(1, int(round(WARMUP_FRACTION * plan.steps))) if plan.steps else 0
     optimizer = Adam(trainable, plan.learning_rate, warmup_steps=warmup)
     log = []
     initial_loss = None
@@ -317,7 +314,7 @@ def _run_loop(model, aux_params, plan, dataset, loss_fn, phase, val_fn=None):
             runaway = 0
         if val_fn is not None and plan.eval_interval > 0 and (
                 (step + 1) % plan.eval_interval == 0 or step + 1 == plan.steps):
-            val_loss = val_fn(step)
+            val_loss = val_fn()
             if best_val is None or val_loss < best_val:
                 best_val = val_loss
                 best_snapshot = {name: p.data.copy() for name, p in trainable.items()}
@@ -371,14 +368,12 @@ def finetune(model: EncoderModel, plan: TrainPlan, dataset, vocab: int,
     Infeasible utterances (labels longer than their frame budget allows)
     are skipped and counted in the result. Model selection, when
     ``plan.eval_interval > 0`` and a validation set is given, tracks the
-    best validation loss at the (1,1,1) configuration unless
-    ``plan.randomize_validation`` asks for sampled validation configs.
+    best validation loss at the (1,1,1) configuration.
     """
     if plan.loss != "ctc":
         raise ConfigError("finetune requires plan.loss == 'ctc'")
     if head is None:
         head = make_head(model.config.model_dim, vocab, plan.seed, dtype=model.dtype)
-    val_rng = Rng(plan.seed).fork("finetune").fork("validation")
 
     def logits_for(utt, config):
         features = _utterance_features(model, utt, plan.freeze_extractor)
@@ -392,12 +387,8 @@ def finetune(model: EncoderModel, plan: TrainPlan, dataset, vocab: int,
         except InfeasibleLabelError:
             return None
 
-    def val_fn(step):
-        if plan.randomize_validation:
-            config = sample_config(plan.sets, model.config.depth,
-                                   val_rng.fork(f"step{step}"))
-        else:
-            config = fixed_config(1, 1, 1, model.config.depth)
+    def val_fn():
+        config = fixed_config(1, 1, 1, model.config.depth)
         total, count = 0.0, 0
         for i in range(len(val_dataset)):
             utt = val_dataset[i]

@@ -32,8 +32,6 @@ from .tensor import (
     layer_norm,
     matmul,
     mul,
-    scale,
-    sub,
     sum_all,
 )
 
@@ -119,9 +117,11 @@ def _check_op_gradients(seed):
         ("matmul", lambda a, b: sum_all(matmul(a, b)), [_rand(rng, 4, 3), _rand(rng, 3, 5)]),
         ("add", lambda a, b: sum_all(mul(add(a, b), add(a, b))), [_rand(rng, 4, 3), _rand(rng, 4, 3)]),
         ("bias_add", lambda a, b: sum_all(mul(add(a, b), add(a, b))), [_rand(rng, 4, 3), _rand(rng, 3)]),
-        ("sub", lambda a, b: sum_all(mul(sub(a, b), sub(a, b))), [_rand(rng, 3, 3), _rand(rng, 3, 3)]),
-        ("mul", lambda a, b: sum_all(mul(a, b)), [_rand(rng, 4, 4), _rand(rng, 4, 4)]),
-        ("scale", lambda a: sum_all(scale(a, 1.7)), [_rand(rng, 3, 4)]),
+    ]
+    _rand(rng, 3, 3), _rand(rng, 3, 3)  # the retired sub case's draws: later inputs stay
+    cases.append(("mul", lambda a, b: sum_all(mul(a, b)), [_rand(rng, 4, 4), _rand(rng, 4, 4)]))
+    _rand(rng, 3, 4)  # the retired scale case's draw
+    cases += [
         ("gelu", lambda a: sum_all(gelu(a)), [_rand(rng, 4, 4)]),
         ("concat", lambda a, b: sum_all(mul(concat([a, b], axis=0), concat([a, b], axis=0))),
          [_rand(rng, 2, 3), _rand(rng, 4, 3)]),
@@ -231,7 +231,7 @@ def _check_attend_oracle(seed):
     assert diff < 1e-12, f"attend deviates from scalar loop by {diff:.3e}"
 
 
-def _make_attn_params(rng: Rng, e: int, heads: int) -> AttentionParams:
+def _random_attention_params(rng: Rng, e: int, heads: int) -> AttentionParams:
     return AttentionParams(
         w_q=Tensor(_rand(rng.fork("wq"), e, e) / np.sqrt(e)),
         w_k=Tensor(_rand(rng.fork("wk"), e, e) / np.sqrt(e)),
@@ -244,7 +244,7 @@ def _make_attn_params(rng: Rng, e: int, heads: int) -> AttentionParams:
 def _check_pooled_degenerate(seed):
     rng = Rng(seed).fork("pooled-1")
     x = Tensor(_rand(rng, 6, 4))
-    params = _make_attn_params(rng, 4, 2)
+    params = _random_attention_params(rng, 4, 2)
     plain = matmul(attend(matmul(x, params.w_q), matmul(x, params.w_k), matmul(x, params.w_v),
                           heads=2), params.w_o).data
     pooled = multi_head_pooled(x, params, PoolFactors(1, 1)).data
@@ -256,7 +256,7 @@ def _check_pooled_composition(seed):
     # the reference projects first and pools afterwards, the order the model does not run
     rng = Rng(seed).fork("pooled-2")
     x = Tensor(_rand(rng, 8, 4))
-    params = _make_attn_params(rng, 4, 2)
+    params = _random_attention_params(rng, 4, 2)
     got = multi_head_pooled(x, params, PoolFactors(s_q=2, s_k=2)).data
     q, k, v = (downsample(matmul(x, w), 2) for w in (params.w_q, params.w_k, params.w_v))
     composed = matmul(upsample(attend(q, k, v, heads=2), 2, truncate_to=8), params.w_o).data
@@ -295,7 +295,7 @@ def _check_multi_head_gradients(seed):
                     out = multi_head_pooled(xt, params, PoolFactors(s_q=s_q, s_k=s_k), mask)
                     return sum_all(mul(out, target))
 
-                base = _make_attn_params(rng, e, 2)
+                base = _random_attention_params(rng, e, 2)
                 err = check_gradients(fn, [x, base.w_q.data, base.w_k.data,
                                            base.w_v.data, base.w_o.data])
                 worst = max(worst, err)

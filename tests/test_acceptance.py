@@ -20,7 +20,7 @@ from stochpool.ctc import collapse, ctc_loss, ctc_loss_bruteforce, greedy_decode
 from stochpool.data import SineFeatureDataset, SymbolFeatureDataset
 from stochpool.encoder import EncoderModel, preset
 from stochpool.errors import InfeasibleLabelError
-from stochpool.gradcheck import check_gradients, check_gradients_sampled
+from stochpool.gradcheck import check_gradients
 from stochpool.pooling import downsample, masked_downsample, upsample
 from stochpool.stochastic import FactorSets, Rng, fixed_config, sample_config
 from stochpool.tensor import (
@@ -32,8 +32,6 @@ from stochpool.tensor import (
     layer_norm,
     matmul,
     mul,
-    scale,
-    sub,
     sum_all,
 )
 from stochpool.training import TrainPlan, evaluate, finetune, pretrain_toy
@@ -190,10 +188,7 @@ def test_criterion_3_gradient_suite():
          [rand(503, 4, 4), rand(504, 4, 4)]),
         ("bias_add", lambda a, b: sum_all(mul(add(a, b), add(a, b))),
          [rand(505, 4, 4), rand(506, 4)]),
-        ("sub", lambda a, b: sum_all(mul(sub(a, b), sub(a, b))),
-         [rand(507, 4, 4), rand(508, 4, 4)]),
         ("mul", lambda a, b: sum_all(mul(a, b)), [rand(509, 4, 4), rand(510, 4, 4)]),
-        ("scale", lambda a: sum_all(scale(mul(a, a), 0.3)), [rand(511, 4, 4)]),
         ("gelu", lambda a: sum_all(gelu(a)), [rand(512, 5, 5)]),
         ("concat", lambda a, b: sum_all(mul(concat([a, b], 0), concat([a, b], 0))),
          [rand(516, 2, 3), rand(517, 3, 3)]),
@@ -242,11 +237,9 @@ def test_criterion_3_gradient_suite():
 
         def model_loss(*tensors):
             trial = EncoderModel(model.config, params=dict(zip(names, tensors)))
-            trial.params = dict(zip(names, tensors))
-            trial._attn_cache = {}
             return sum_all(mul(trial.forward(Tensor(feats), config), Tensor(tgt)))
 
-        worst = max(worst, check_gradients_sampled(
+        worst = max(worst, check_gradients(
             model_loss, [model.params[n].data for n in names],
             coords_per_array=3, seed=42))
 
@@ -255,13 +248,11 @@ def test_criterion_3_gradient_suite():
 
     def audio_loss(*tensors):
         trial = EncoderModel(model.config, params=dict(zip(names, tensors)))
-        trial.params = dict(zip(names, tensors))
-        trial._attn_cache = {}
         out = trial.forward(trial.extract_features(audio),
                             fixed_config(2, 2, 2, model.config.depth))
         return sum_all(mul(out, Tensor(rand(543, out.shape[0], 64))))
 
-    worst = max(worst, check_gradients_sampled(
+    worst = max(worst, check_gradients(
         audio_loss, [model.params[n].data for n in names],
         coords_per_array=2, seed=43))
     assert worst < 1e-4

@@ -1,12 +1,15 @@
 """Command-line surface: exit codes, file outputs, config echoing."""
 
+import argparse
 import json
+import sys
 import wave
 
 import numpy as np
 import pytest
 
-from stochpool.cli import main
+from stochpool import pooling
+from stochpool.cli import _build_parser, _load_run_config, main
 from stochpool.cost_model import CSV_HEADER
 from stochpool.data import synth_audio, write_wav
 from stochpool.encoder import load_checkpoint
@@ -53,6 +56,22 @@ class TestRunConfig:
         assert again == cfg
 
 
+REAL_UPSAMPLE = pooling.upsample
+
+
+@pytest.fixture
+def upsample_ignoring_truncation(monkeypatch):
+    """Swap in an ``upsample`` that ignores ``truncate_to`` wherever stochpool
+    modules look it up, so pooled outputs lose their original length."""
+    def faulty(x, factor, truncate_to=None):
+        return REAL_UPSAMPLE(x, factor)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stochpool") and getattr(module, "upsample", None) is REAL_UPSAMPLE:
+            monkeypatch.setattr(module, "upsample", faulty)
+    return monkeypatch
+
+
 class TestVerifyCommand:
     def test_full_suite_exits_zero_in_budget(self):
         import time
@@ -64,17 +83,15 @@ class TestVerifyCommand:
     def test_clean_run_exits_zero(self):
         assert run("verify", "--filter", "pooling") == 0
 
-    def test_injected_fault_detected(self):
-        assert run("verify", "--inject-fault", "upsample-truncation",
-                   "--filter", "pooling") == 1
+    def test_injected_fault_detected(self, upsample_ignoring_truncation):
+        assert run("verify", "--filter", "pooling") == 1
 
-    def test_injected_fault_swapped_back_out(self):
-        from stochpool import attention, encoder, pooling, verify
+    def test_injected_fault_swapped_back_out(self, upsample_ignoring_truncation):
+        from stochpool import attention, encoder, verify
 
-        real = pooling.upsample
-        assert run("verify", "--inject-fault", "upsample-truncation",
-                   "--filter", "length") == 1
-        assert all(m.upsample is real for m in (pooling, attention, encoder, verify))
+        assert run("verify", "--filter", "length") == 1
+        upsample_ignoring_truncation.undo()
+        assert all(m.upsample is REAL_UPSAMPLE for m in (pooling, attention, encoder, verify))
         assert run("verify", "--filter", "length") == 0
 
     def test_unmatched_filter_is_usage_error(self):
@@ -267,6 +284,25 @@ class TestSweepCommand:
         assert all(r["decode_ms_median"] is None and r["timer_flagged"] is None
                    for r in profile)  # skipped, not zero
 
+    def test_effective_config_replays_flags(self, tmp_path):
+        cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out",
+                        frames=40, utterances=1, repeats=3)
+        assert run("sweep", str(cfg), "--no-measure", "--configs", "2-1-2") == 0
+        effective = tmp_path / "out" / "effective_config.txt"
+        text = effective.read_text()
+        assert "measure = false" in text and "sweep_configs = 2-1-2" in text
+        assert run("sweep", str(effective), "--output-dir", str(tmp_path / "replay")) == 0
+        first = (tmp_path / "out" / "sweep.csv").read_text()
+        assert first.splitlines()[-1].startswith("2-1-2,")
+        assert (tmp_path / "replay" / "sweep.csv").read_text() == first
+
+    def test_flags_win_over_file_keys(self, tmp_path):
+        cfg = write_cfg(tmp_path / "s.cfg", sweep_configs="2-2-2", measure="true")
+        args = _build_parser().parse_args(["sweep", str(cfg), "--configs", "2-1-2",
+                                           "--no-measure"])
+        rc = _load_run_config(args)
+        assert rc.sweep_configs == "2-1-2" and rc.measure is False
+
     def test_malformed_triplet_rejected_with_position(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out")
         assert run("sweep", str(cfg), "--configs", "2-x-1") == 2
@@ -302,6 +338,38 @@ class TestSweepCommand:
         rows = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert len(rows) == 4
         assert all(r["symbol_error"] is not None for r in rows)  # trade-off pairs
+
+
+class TestFlagsReachRunConfig:
+    """Every flag of a config-driven command is a run-config override, so
+    ``effective_config.txt`` records it and a replay repeats the run."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "sweep"])
+    def test_every_flag_changes_the_run_config(self, tmp_path, command):
+        cfg = write_cfg(tmp_path / "run.cfg")
+        parser = _build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        subparser = commands.choices[command]
+
+        def loaded(*flags):
+            return _load_run_config(parser.parse_args([command, str(cfg), *flags]))
+
+        base = loaded()
+        checked = []
+        for action in subparser._actions:
+            flag = max(action.option_strings, key=len, default=None)
+            if flag is None or flag in ("--set", "--help"):
+                continue
+            if action.nargs == 0:
+                candidates = [[flag]]
+            elif action.choices:
+                candidates = [[flag, choice] for choice in action.choices]
+            else:
+                candidates = [[flag, "7" if action.type is int else "2-1-2"]]
+            assert any(loaded(*argv) != base for argv in candidates), (
+                f"{command} {flag} does not reach the run config")
+            checked.append(flag)
+        assert "--seed" in checked and "--output-dir" in checked
 
 
 class TestCostCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochpool import encoder as encoder_module
-from stochpool.attention import PoolFactors, multi_head_pooled
+from stochpool.attention import AttentionParams, PoolFactors, multi_head_pooled
 from stochpool.encoder import (
     EncoderConfig,
     EncoderModel,
@@ -16,7 +16,7 @@ from stochpool.encoder import (
     save_checkpoint,
 )
 from stochpool.errors import ConfigError, InputError, ShapeError
-from stochpool.gradcheck import check_gradients_sampled
+from stochpool.gradcheck import check_gradients
 from stochpool.stochastic import Rng, fixed_config
 from stochpool.tensor import Tensor, add, concat, conv1d, count_macs, gelu, layer_norm, matmul
 
@@ -81,7 +81,8 @@ def plain_post_ln_encoder(model, feats):
     x = add(x, gelu(pos))
     x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
     for i in range(cfg.depth):
-        attn = multi_head_pooled(x, model._attn_params(i), PoolFactors(1, 1))
+        w = {k: p[f"layer{i}.attn.{k}"] for k in ("w_q", "w_k", "w_v", "w_o")}
+        attn = multi_head_pooled(x, AttentionParams(heads=cfg.heads, **w), PoolFactors(1, 1))
         x = layer_norm(add(x, attn), p[f"layer{i}.norm1.gamma"], p[f"layer{i}.norm1.beta"])
         h = gelu(add(matmul(x, p[f"layer{i}.ffn.w1"]), p[f"layer{i}.ffn.b1"]))
         h = add(matmul(h, p[f"layer{i}.ffn.w2"]), p[f"layer{i}.ffn.b2"])
@@ -236,18 +237,14 @@ class TestGradients:
             config = fixed_config(*triplet, model.config.depth)
 
             def fn(*tensors):
-                trial = EncoderModel(model.config,
-                                     params=dict(zip(names, tensors)))
-                # rewrap so the tape sees the caller's tensors, not copies
-                trial.params = dict(zip(names, tensors))
-                trial._attn_cache = {}
+                trial = EncoderModel(model.config, params=dict(zip(names, tensors)))
                 out = trial.forward(Tensor(feats), config)
                 from stochpool.tensor import mul, sum_all
 
                 return sum_all(mul(out, Tensor(tgt)))
 
-            check_gradients_sampled(fn, [model.params[n].data for n in names],
-                                    coords_per_array=3, seed=22)
+            check_gradients(fn, [model.params[n].data for n in names],
+                            coords_per_array=3, seed=22)
 
 
 class TestPresets:
@@ -308,6 +305,16 @@ class TestCheckpoint:
         cut.write_bytes(blob + b"\x00")
         with pytest.raises(InputError, match="trailing"):
             load_checkpoint(cut)
+
+    def test_given_tensors_kept_when_dtype_matches(self):
+        model = EncoderModel(preset("tiny"), seed=6)
+        same = EncoderModel(model.config, params=model.params)
+        assert all(same.params[n] is t for n, t in model.params.items())
+        assert same.attention[0].w_q is model.params["layer0.attn.w_q"]
+        cast = EncoderModel(model.config, dtype=np.float32, params=model.params)
+        for name, t in model.params.items():
+            assert cast.params[name].dtype == np.float32
+            assert np.array_equal(cast.params[name].data, t.data.astype(np.float32))
 
     def test_missing_parameter_rejected(self):
         model = EncoderModel(preset("tiny"), seed=28)

@@ -1,5 +1,6 @@
 """Training loops: determinism, logging, divergence handling, evaluation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -96,6 +97,24 @@ class TestPretrain:
                                   SineFeatureDataset(8, 64, seed=4))
             curves.append([rec.loss for rec in result.log])
         assert curves[0] == curves[1]
+
+    def test_seeded_run_matches_golden(self):
+        # bit for bit: the loss's add/mul form must round as subtraction and a
+        # scalar multiply do (losses as float.hex, parameters as a sha256)
+        model = tiny_model(seed=5)
+        plan = TrainPlan(mode="stochastic", steps=3, batch_size=2, learning_rate=0.003,
+                         seed=5, loss="masked_regression", sets=SETS)
+        result = pretrain_toy(model, plan, SineFeatureDataset(8, 64, seed=5))
+        assert [rec.config for rec in result.log] == ["2-(1,2)-(1,2)", "1-1-(1,2)",
+                                                      "2-(1,2)-(1,2)"]
+        assert [rec.loss.hex() for rec in result.log] == [
+            "0x1.0c1d553bb3a0dp+1", "0x1.04dd237d4641ap+1", "0x1.b238e2657569bp+0"]
+        digest = hashlib.sha256()
+        for name, param in result.params.items():
+            digest.update(name.encode())
+            digest.update(param.data.tobytes())
+        assert digest.hexdigest() == (
+            "1842c5cf67d9679dc3368fb7ab38276b7c39ad51f21b420c7cdfa0484a17503a")
 
     def test_loss_decreases_in_short_run(self):
         model = tiny_model(seed=1)
