@@ -281,7 +281,10 @@ def cmd_decode(args) -> int:
         raise InputError(f"{args.checkpoint}: no output head; fine-tune before decoding")
     s_f, s_k, s_q = parse_triplet(args.config)
     config = fixed_config(s_f, s_k, s_q, model.config.depth)
-    inverse = {int(i): tok for tok, i in ck.meta.get("token_vocab", {}).items()}
+    token_vocab = ck.meta.get("token_vocab", {})
+    if not isinstance(token_vocab, dict) or any(type(i) is not int for i in token_vocab.values()):
+        raise InputError(f"{args.checkpoint}: meta token_vocab must map tokens to integer ids")
+    inverse = {i: tok for tok, i in token_vocab.items()}
     for path in args.audio:
         audio = read_wav(path)
         feats = model.extract_features(audio)

@@ -71,21 +71,8 @@ class CostReport:
                 + self.macs_ffn + self.macs_upsample)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "preset": self.preset,
-            "frames": self.frames,
-            "macs_total": self.macs_total,
-            "macs_attn_scores": self.macs_attn_scores,
-            "macs_attn_proj": self.macs_attn_proj,
-            "macs_ffn": self.macs_ffn,
-            "macs_fe": self.macs_fe,
-            "macs_upsample": self.macs_upsample,
-            "wall_ms_median": self.wall_ms_median,
-            "wall_ms_min": self.wall_ms_min,
-            "wall_ms_max": self.wall_ms_max,
-            "symbol_error": self.symbol_error,
-        }
+        """The frozen schema: exactly the ``CSV_HEADER`` columns."""
+        return {key: getattr(self, key) for key in CSV_HEADER.split(",")}
 
     def to_csv_row(self) -> str:
         def cell(value):
@@ -95,8 +82,7 @@ class CostReport:
                 return f"{value:.6g}"
             return str(value)
 
-        ordered = self.to_json_dict()
-        return ",".join(cell(ordered[key]) for key in CSV_HEADER.split(","))
+        return ",".join(cell(getattr(self, key)) for key in CSV_HEADER.split(","))
 
 
 def _conv_stack_macs(fe: FeatureExtractorConfig, samples: int):
@@ -130,7 +116,7 @@ def analytic_cost(config: CompressionConfig, enc_config: EncoderConfig, frames: 
     report = CostReport(config.describe(), preset, frames)
 
     if from_audio:
-        fe = FeatureExtractorConfig.compact(enc_config.base_channels)
+        fe = FeatureExtractorConfig(enc_config.base_channels)
         conv_macs, fe_frames = _conv_stack_macs(fe, fe.samples_for_frames(frames))
         if fe_frames != frames:
             raise ConfigError(f"conv table yields {fe_frames} frames, expected {frames}")
@@ -152,15 +138,14 @@ def analytic_cost(config: CompressionConfig, enc_config: EncoderConfig, frames: 
 
 
 def analytic_cost_dataset(config: CompressionConfig, enc_config: EncoderConfig,
-                          frame_lengths, preset: str = "custom",
-                          from_audio: bool = False) -> CostReport:
+                          frame_lengths, preset: str = "custom") -> CostReport:
     """Sum of per-utterance analytic costs (MACs are additive)."""
     frame_lengths = list(frame_lengths)
     if not frame_lengths:
         raise InputError("frame_lengths is empty")
     total = CostReport(config.describe(), preset, 0)
     for frames in frame_lengths:
-        one = analytic_cost(config, enc_config, frames, preset=preset, from_audio=from_audio)
+        one = analytic_cost(config, enc_config, frames, preset=preset)
         total.frames += one.frames
         total.macs_fe += one.macs_fe
         total.macs_attn_proj += one.macs_attn_proj
@@ -247,7 +232,7 @@ def _pinned_to_one_worker():
 
 def measure(model: EncoderModel, config: CompressionConfig, dataset,
             repeats: int = 5, head: dict | None = None) -> CostReport:
-    """Median wall time of float32 forward passes over a dataset.
+    """Median wall time of float32 forward passes over a feature dataset.
 
     Per utterance: one excluded warm-up pass, then ``repeats`` timed runs;
     medians (and min/max) are summed over the dataset. Decoding (output
@@ -272,11 +257,7 @@ def measure(model: EncoderModel, config: CompressionConfig, dataset,
     try:
         with _pinned_to_one_worker():
             for i in range(len(dataset)):
-                utt = dataset[i]
-                if utt.features is not None:
-                    feats = Tensor(utt.features, dtype=np.float32)
-                else:
-                    feats = Tensor(bench.extract_features(utt.audio).data)
+                feats = Tensor(dataset[i].features, dtype=np.float32)
                 frames_total += feats.shape[0]
                 bench.forward(feats, config)  # warm-up, excluded
                 times = []
@@ -311,28 +292,21 @@ def measure(model: EncoderModel, config: CompressionConfig, dataset,
 
 
 def sweep(model: EncoderModel, configs, dataset, preset: str = "custom",
-          repeats: int = 5, head: dict | None = None, measure_time: bool = True,
-          from_audio: bool = False) -> list:
-    """One CostReport per configuration: analytic MACs, optional timing,
-    optional greedy symbol error when the dataset is labeled."""
+          repeats: int = 5, head: dict | None = None, measure_time: bool = True) -> list:
+    """One CostReport per configuration over a feature dataset: analytic
+    MACs, optional timing, optional greedy symbol error when the dataset is
+    labeled."""
     configs = list(configs)
     if not configs:
         raise ConfigError("sweep requires at least one configuration")
     if len(dataset) < 1:
         raise InputError("sweep requires a non-empty dataset")
-    frame_lengths = []
-    labeled = True
-    for i in range(len(dataset)):
-        utt = dataset[i]
-        if utt.features is not None:
-            frame_lengths.append(utt.features.shape[0])
-        else:
-            frame_lengths.append(model.fe.frames_for_samples(utt.audio.size))
-        labeled = labeled and utt.labels is not None
+    utterances = [dataset[i] for i in range(len(dataset))]
+    frame_lengths = [utt.features.shape[0] for utt in utterances]
+    labeled = all(utt.labels is not None for utt in utterances)
     reports = []
     for config in configs:
-        report = analytic_cost_dataset(config, model.config, frame_lengths,
-                                       preset=preset, from_audio=from_audio)
+        report = analytic_cost_dataset(config, model.config, frame_lengths, preset=preset)
         if measure_time:
             timed = measure(model, config, dataset, repeats=repeats, head=head)
             report.wall_ms_median = timed.wall_ms_median

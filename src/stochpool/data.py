@@ -17,6 +17,13 @@ from .errors import InputError
 from .stochastic import Rng
 
 SAMPLE_RATE = 16_000
+SINE_NOISE = 0.05  # noise std of SineFeatureDataset frames
+SYMBOL_FRAMES = 8  # frames per rendered symbol
+SYMBOL_GAP_FRAMES = 2  # low-energy frames around each symbol
+SYMBOL_NOISE = 0.1
+SYMBOL_PROTO_NORM = 2.0  # norm of every symbol's prototype vector
+AUDIO_SINES = 4  # sinusoids in a synth_audio signal
+AUDIO_NOISE = 0.01
 
 
 @dataclass(frozen=True)
@@ -36,17 +43,20 @@ class SineFeatureDataset:
     """Unlabeled smooth feature sequences for masked-frame pretraining.
 
     Each utterance is a sum of a few sinusoids per feature dimension plus
-    light noise; smooth in time so context carries real information about
-    masked frames.
+    ``SINE_NOISE`` noise; smooth in time so context carries real
+    information about masked frames. Lengths are drawn uniformly from
+    ``min_frames..max_frames``.
     """
 
     def __init__(self, size: int, dim: int, seed: int = 0,
-                 min_frames: int = 24, max_frames: int = 48, noise: float = 0.05):
+                 min_frames: int = 24, max_frames: int = 48):
         if size < 1:
             raise InputError(f"dataset size must be >= 1, got {size}")
+        if min_frames < 1 or max_frames < min_frames:
+            raise InputError(f"frame range must satisfy 1 <= min_frames <= max_frames, "
+                             f"got {min_frames}..{max_frames}")
         self.size = size
         self.dim = dim
-        self.noise = noise
         self.min_frames = min_frames
         self.max_frames = max_frames
         self._rng = Rng(seed).fork("sine-features")
@@ -67,7 +77,7 @@ class SineFeatureDataset:
             phase = 2.0 * np.pi * rng.uniform(self.dim)
             amp = 0.5 + rng.uniform(self.dim)
             feats += amp[None, :] * np.sin(2.0 * np.pi * freq * t + phase[None, :])
-        feats += self.noise * rng.normal(frames * self.dim).reshape(frames, self.dim)
+        feats += SINE_NOISE * rng.normal(frames * self.dim).reshape(frames, self.dim)
         return Utterance(features=feats)
 
 
@@ -75,10 +85,10 @@ class SymbolFeatureDataset:
     """Labeled sequences for the toy CTC task.
 
     Every symbol of a small vocabulary owns a fixed prototype feature
-    vector; an utterance renders its label string as consecutive
-    ``frames_per_symbol``-frame segments separated by low-energy gaps, plus
-    noise. Greedy CTC decoding of a trained model should recover the
-    labels.
+    vector of norm ``SYMBOL_PROTO_NORM``; an utterance renders its label
+    string as consecutive ``SYMBOL_FRAMES``-frame segments separated by
+    ``SYMBOL_GAP_FRAMES``-frame zero gaps, plus ``SYMBOL_NOISE`` noise.
+    Greedy CTC decoding of a trained model should recover the labels.
 
     The label-to-prototype mapping depends only on ``seed``; utterance
     composition depends on (seed, split), so train/val/test splits of the
@@ -86,9 +96,7 @@ class SymbolFeatureDataset:
     """
 
     def __init__(self, size: int, dim: int, vocab: int = 4, seed: int = 0,
-                 split: str = "train", min_symbols: int = 2, max_symbols: int = 5,
-                 frames_per_symbol: int = 8, gap_frames: int = 2,
-                 noise: float = 0.1, proto_scale: float = 2.0):
+                 split: str = "train", min_symbols: int = 2, max_symbols: int = 5):
         if size < 1:
             raise InputError(f"dataset size must be >= 1, got {size}")
         if vocab < 1:
@@ -98,12 +106,9 @@ class SymbolFeatureDataset:
         self.vocab = vocab
         self.min_symbols = min_symbols
         self.max_symbols = max_symbols
-        self.frames_per_symbol = frames_per_symbol
-        self.gap_frames = gap_frames
-        self.noise = noise
         root = Rng(seed).fork("symbol-features")
         protos = root.fork("prototypes").normal(vocab * dim).reshape(vocab, dim)
-        self._protos = (proto_scale * protos
+        self._protos = (SYMBOL_PROTO_NORM * protos
                         / np.linalg.norm(protos, axis=1, keepdims=True))
         self._rng = root.fork(split)
 
@@ -116,30 +121,30 @@ class SymbolFeatureDataset:
         rng = self._rng.fork(f"utt{index}")
         n_symbols = self.min_symbols + rng.integer(self.max_symbols - self.min_symbols + 1)
         labels = tuple(1 + rng.integer(self.vocab) for _ in range(n_symbols))
-        gap = np.zeros((self.gap_frames, self.dim))
+        gap = np.zeros((SYMBOL_GAP_FRAMES, self.dim))
         rows = [gap]
         for label in labels:
-            seg = np.tile(self._protos[label - 1], (self.frames_per_symbol, 1))
+            seg = np.tile(self._protos[label - 1], (SYMBOL_FRAMES, 1))
             rows.append(seg)
             rows.append(gap)
         feats = np.concatenate(rows, axis=0)
-        feats = feats + self.noise * rng.normal(feats.size).reshape(feats.shape)
+        feats = feats + SYMBOL_NOISE * rng.normal(feats.size).reshape(feats.shape)
         return Utterance(features=feats, labels=labels)
 
 
-def synth_audio(seed: int, seconds: float = 1.0, n_sines: int = 4,
-                noise: float = 0.01) -> np.ndarray:
-    """Seeded sum-of-sines test signal at 16 kHz, in [-1, 1]."""
+def synth_audio(seed: int, seconds: float = 1.0) -> np.ndarray:
+    """Seeded sum of ``AUDIO_SINES`` sines plus ``AUDIO_NOISE`` noise at
+    16 kHz, in [-1, 1]."""
     rng = Rng(seed).fork("synth-audio")
     n = int(round(seconds * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
     signal = np.zeros(n)
-    for _ in range(n_sines):
+    for _ in range(AUDIO_SINES):
         freq = 80.0 + 2000.0 * rng.uniform()
         amp = 0.2 + 0.8 * rng.uniform()
         phase = 2.0 * np.pi * rng.uniform()
         signal += amp * np.sin(2.0 * np.pi * freq * t + phase)
-    signal += noise * rng.normal(n)
+    signal += AUDIO_NOISE * rng.normal(n)
     peak = np.abs(signal).max()
     return signal / max(peak, 1.0)
 
@@ -211,19 +216,15 @@ def read_manifest(path) -> list:
 class ManifestDataset:
     """Audio utterances described by a manifest file.
 
-    Token labels are mapped to contiguous ids via the sorted vocabulary of
-    the manifest itself (or a caller-provided mapping, e.g. from a
-    checkpoint).
+    Token labels are mapped to contiguous ids 1..V via the sorted
+    vocabulary of the manifest itself.
     """
 
-    def __init__(self, manifest_path, vocab: dict | None = None):
+    def __init__(self, manifest_path):
         self.base = Path(manifest_path).parent
         self.entries = read_manifest(manifest_path)
-        if vocab is None:
-            tokens = sorted({tok for e in self.entries for tok in e.transcript})
-            vocab = {tok: i + 1 for i, tok in enumerate(tokens)}
-        self.vocab = vocab
-        self.inverse_vocab = {i: tok for tok, i in vocab.items()}
+        tokens = sorted({tok for e in self.entries for tok in e.transcript})
+        self.vocab = {tok: i + 1 for i, tok in enumerate(tokens)}
 
     def __len__(self):
         return len(self.entries)
@@ -233,9 +234,5 @@ class ManifestDataset:
         path = Path(entry.path)
         if not path.is_absolute():
             path = self.base / path
-        audio = read_wav(path)
-        try:
-            labels = tuple(self.vocab[tok] for tok in entry.transcript)
-        except KeyError as exc:
-            raise InputError(f"{entry.path}: token {exc.args[0]!r} not in vocabulary") from None
-        return Utterance(audio=audio, labels=labels)
+        labels = tuple(self.vocab[tok] for tok in entry.transcript)
+        return Utterance(audio=read_wav(path), labels=labels)

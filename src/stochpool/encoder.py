@@ -23,7 +23,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,38 +60,15 @@ _COMPACT_PATTERN = (
 
 @dataclass(frozen=True)
 class FeatureExtractorConfig:
-    """Conv stack over raw 16 kHz audio; layers are (kernel, stride, out_channels)."""
+    """Conv stack over raw 16 kHz audio: ``_COMPACT_PATTERN`` with its channel
+    multipliers scaled by ``base_channels``."""
 
-    layers: tuple
+    base_channels: int
 
-    def __post_init__(self):
-        layers = tuple((int(k), int(s), int(c)) for k, s, c in self.layers)
-        object.__setattr__(self, "layers", layers)
-        total = 1
-        for _, s, _ in layers:
-            total *= s
-        if total != TARGET_TOTAL_STRIDE:
-            raise ConfigError(f"feature extractor strides multiply to {total}, "
-                              f"need {TARGET_TOTAL_STRIDE}")
-        cum = layers[0][1]
-        ref = cum
-        prev_c = layers[0][2]
-        for k, s, c in layers[1:]:
-            cum *= s
-            if cum >= 4 * ref:
-                if c != prev_c * 2:
-                    raise ConfigError("channel width must double when cumulative "
-                                      f"downsample reaches 4x (at stride {cum})")
-                ref = cum
-            elif c != prev_c:
-                raise ConfigError("channel width may only change at 4x downsample points")
-            prev_c = c
-
-    @classmethod
-    def compact(cls, base_channels: int) -> "FeatureExtractorConfig":
-        if base_channels < 1:
-            raise ConfigError(f"base_channels must be >= 1, got {base_channels}")
-        return cls(tuple((k, s, m * base_channels) for k, s, m in _COMPACT_PATTERN))
+    @property
+    def layers(self) -> tuple:
+        """(kernel, stride, out_channels) per conv layer."""
+        return tuple((k, s, m * self.base_channels) for k, s, m in _COMPACT_PATTERN)
 
     @property
     def out_channels(self) -> int:
@@ -138,6 +115,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        if self.base_channels < 1:
+            raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.heads < 1 or self.model_dim % self.heads:
             raise ConfigError(f"model_dim {self.model_dim} must be divisible by "
                               f"heads {self.heads}")
@@ -151,24 +130,6 @@ class EncoderConfig:
         for name in ("max_squeeze", "max_kv_pool", "max_q_pool"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "model_dim": self.model_dim,
-            "depth": self.depth,
-            "heads": self.heads,
-            "ffn_dim": self.ffn_dim,
-            "base_channels": self.base_channels,
-            "pos_conv_kernel": self.pos_conv_kernel,
-            "pos_conv_groups": self.pos_conv_groups,
-            "max_squeeze": self.max_squeeze,
-            "max_kv_pool": self.max_kv_pool,
-            "max_q_pool": self.max_q_pool,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncoderConfig":
-        return cls(**data)
 
 
 _PRESETS = {
@@ -196,7 +157,7 @@ def preset(name: str) -> EncoderConfig:
 
 def parameter_spec(config: EncoderConfig) -> dict:
     """Ordered name -> shape map for every parameter of an encoder instance."""
-    fe = FeatureExtractorConfig.compact(config.base_channels)
+    fe = FeatureExtractorConfig(config.base_channels)
     e, f = config.model_dim, config.ffn_dim
     shapes = {}
     c_in = 1
@@ -253,7 +214,7 @@ class EncoderModel:
 
     def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float64, params=None):
         self.config = config
-        self.fe = FeatureExtractorConfig.compact(config.base_channels)
+        self.fe = FeatureExtractorConfig(config.base_channels)
         self.dtype = np.dtype(dtype)
         shapes = parameter_spec(config)
         if params is None:
@@ -323,7 +284,7 @@ class EncoderModel:
         cfg = self.config
         pad = (cfg.pos_conv_kernel - 1) // 2
         zeros = np.zeros((pad, cfg.model_dim), dtype=self.dtype)
-        padded = concat([zeros, x, zeros], axis=0)
+        padded = concat([zeros, x, zeros])
         with mac_scope("fe"):
             conv = conv1d(padded, self.params["pos_conv.weight"],
                           stride=1, groups=cfg.pos_conv_groups)
@@ -404,7 +365,7 @@ class Checkpoint:
 
 def save_checkpoint(path, config: EncoderConfig, params: dict, meta: dict | None = None):
     """Write the binary checkpoint: magic, version, config JSON, float32 tensors."""
-    header = json.dumps({"config": config.to_dict(), "meta": meta or {}},
+    header = json.dumps({"config": asdict(config), "meta": meta or {}},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -430,7 +391,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     Every read is bounds-checked: a truncated or corrupt file, or one with
     bytes after the last tensor, raises InputError naming the offset; an
-    unreadable path raises InputError naming the path.
+    unreadable path, a ``meta`` that is not an object, or an encoder tensor
+    whose shape disagrees with the header config raises InputError naming
+    the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -462,10 +425,12 @@ def load_checkpoint(path) -> Checkpoint:
     raw_header = take(header_len, "header")
     try:
         header = json.loads(bytes(raw_header).decode("utf-8"))
-        config = EncoderConfig.from_dict(header["config"])
+        config = EncoderConfig(**header["config"])
         meta = header.get("meta", {})
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise corrupt("header", exc) from None
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: corrupt checkpoint: header meta is not a JSON object")
     (n_params,) = unpack("<I", "parameter count")
     params = {}
     for _ in range(n_params):
@@ -483,4 +448,8 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(view):
         raise InputError(f"{path}: corrupt checkpoint: {len(view) - offset} trailing bytes "
                          f"after offset {offset}")
+    for name, shape in parameter_spec(config).items():
+        if name in params and params[name].shape != shape:
+            raise InputError(f"{path}: parameter {name!r} has shape {params[name].shape}, "
+                             f"expected {shape} for the header config")
     return Checkpoint(config=config, params=params, meta=meta)

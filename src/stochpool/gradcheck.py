@@ -11,12 +11,11 @@ import numpy as np
 
 from .tensor import Tape, Tensor, backward
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5  # central-difference step
 DEFAULT_TOLERANCE = 1e-4
 
 
 def check_gradients(fn, arrays, coords_per_array: int | None = None, seed: int = 0,
-                    step: float = DEFAULT_STEP,
                     tolerance: float = DEFAULT_TOLERANCE) -> float:
     """Compare tape gradients of scalar ``fn`` against central differences.
 
@@ -47,12 +46,12 @@ def check_gradients(fn, arrays, coords_per_array: int | None = None, seed: int =
         for flat in coords:
             idx = np.unravel_index(int(flat), target.shape)
             orig = target[idx]
-            target[idx] = orig + step
+            target[idx] = orig + STEP
             up = fn(*[Tensor(a) for a in base]).item()
-            target[idx] = orig - step
+            target[idx] = orig - STEP
             down = fn(*[Tensor(a) for a in base]).item()
             target[idx] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * STEP)
             taped = float(analytic[idx])
             worst = max(worst, abs(taped - numeric) / max(1.0, abs(taped), abs(numeric)))
     if worst > tolerance:

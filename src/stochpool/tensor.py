@@ -47,6 +47,7 @@ _state = threading.local()
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
+LAYER_NORM_EPS = 1e-5
 
 
 def _active_tape():
@@ -373,29 +374,22 @@ def gelu(a) -> Tensor:
     return _wrap(y, (a,), bwd)
 
 
-def concat(parts, axis: int = 0) -> Tensor:
-    """Concatenate 2-D tensors along rows (axis 0) or columns (axis 1)."""
+def concat(parts) -> Tensor:
+    """Concatenate 2-D tensors along rows."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat requires at least one tensor")
-    if axis not in (0, 1):
-        raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
-    other = 1 - axis
-    ref = parts[0].shape
     for p in parts:
-        if p.ndim != 2 or p.shape[other] != ref[other]:
+        if p.ndim != 2 or p.shape[1] != parts[0].shape[1]:
             raise ShapeError(
-                f"concat shapes disagree on axis {other}: {[tuple(p.shape) for p in parts]}"
+                f"concat shapes disagree on axis 1: {[tuple(p.shape) for p in parts]}"
             )
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def bwd(g):
-        if axis == 0:
-            return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(sizes)))
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+        return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
 
-    return _wrap(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
+    return _wrap(np.concatenate([p.data for p in parts], axis=0), tuple(parts), bwd)
 
 
 def sum_all(a) -> Tensor:
@@ -409,11 +403,11 @@ def sum_all(a) -> Tensor:
     return _wrap(np.asarray(a.data.sum(), dtype=a.dtype), (a,), bwd)
 
 
-def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gamma, beta) -> Tensor:
     """Per-row normalization followed by an affine map.
 
     Each row is shifted to zero mean and scaled to unit variance (up to
-    ``eps``) before applying gamma/beta.
+    ``LAYER_NORM_EPS``) before applying gamma/beta.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     if a.ndim != 2 or a.shape[1] < 1:
@@ -428,7 +422,7 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     # a row mean is the row sum over n, which .mean() rounds to as well
     y = x - x.sum(axis=1, keepdims=True) / n
     out = np.multiply(y, y)  # scratch for the squares, then the output
-    inv = 1.0 / np.sqrt(out.sum(axis=1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(out.sum(axis=1, keepdims=True) / n + LAYER_NORM_EPS)
     y *= inv
     gd = gamma.data
     np.multiply(y, gd, out=out)

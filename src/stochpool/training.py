@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,6 +41,9 @@ MASK_SPAN = 3
 WARMUP_FRACTION = 0.1  # of the run's steps, at least one step
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 50
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -87,12 +90,6 @@ class TrainLogRecord:
     backward_ms: float
     optimizer_ms: float
 
-    def to_dict(self) -> dict:
-        return {"step": self.step, "config": self.config, "loss": self.loss,
-                "grad_norm": self.grad_norm, "wall_ms": self.wall_ms,
-                "forward_ms": self.forward_ms, "backward_ms": self.backward_ms,
-                "optimizer_ms": self.optimizer_ms}
-
 
 @dataclass
 class TrainResult:
@@ -108,26 +105,22 @@ class TrainResult:
 class EvalResult:
     loss: float
     symbol_error: float
-    wall_ms: float
-    utterances: int
 
 
 def write_train_log(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
 
 class Adam:
-    """Adam with linear warmup to a constant learning rate."""
+    """Adam (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) with linear warmup
+    to a constant learning rate."""
 
-    def __init__(self, params: dict, lr: float, warmup_steps: int = 0,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float, warmup_steps: int = 0):
         self.params = params
         self.lr = lr
         self.warmup_steps = warmup_steps
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -140,8 +133,8 @@ class Adam:
     def step(self, grads: dict):
         lr = self.lr_at(self.t)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, param in self.params.items():
             g = grads.get(name)
             if g is None:
@@ -149,10 +142,10 @@ class Adam:
             # the moments are Adam's own arrays, updated in place in the
             # rounding order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
             m, v = self._m[name], self._v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            g2 = (1 - self.beta2) * g
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            g2 = (1 - ADAM_BETA2) * g
             g2 *= g
             v += g2
             # lr (m / bc1) / (sqrt(v / bc2) + eps), reusing the temporaries
@@ -160,7 +153,7 @@ class Adam:
             update *= lr
             denom = np.divide(v, bc2, out=g2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             update /= denom
             # rebind, never write through: a same-dtype model copy shares arrays
             param.data = param.data - update
@@ -410,7 +403,7 @@ def evaluate(model: EncoderModel, head: dict, config: CompressionConfig,
     """Fixed-configuration inference with greedy decoding.
 
     Symbol error is corpus-level: total edit distance over total reference
-    length. Wall time covers encoding plus decoding, summed per utterance.
+    length.
     """
     if len(dataset) < 1:
         raise InputError("evaluate requires a non-empty dataset")
@@ -418,16 +411,13 @@ def evaluate(model: EncoderModel, head: dict, config: CompressionConfig,
     loss_count = 0
     total_edit = 0
     total_ref = 0
-    wall = 0.0
     for i in range(len(dataset)):
         utt = dataset[i]
         if utt.labels is None:
             raise InputError("evaluate requires labeled utterances")
-        started = time.perf_counter()
         features = _utterance_features(model, utt, freeze_extractor=False)
         logits = apply_head(model.forward(features, config), head)
         hyp = greedy_decode(logits)
-        wall += 1000.0 * (time.perf_counter() - started)
         try:
             total_loss += ctc_loss(logits, utt.labels).item()
             loss_count += 1
@@ -437,5 +427,4 @@ def evaluate(model: EncoderModel, head: dict, config: CompressionConfig,
         total_ref += len(utt.labels)
     symbol_error = total_edit / total_ref if total_ref else 0.0
     mean_loss = total_loss / loss_count if loss_count else float("inf")
-    return EvalResult(loss=mean_loss, symbol_error=symbol_error,
-                      wall_ms=wall, utterances=len(dataset))
+    return EvalResult(loss=mean_loss, symbol_error=symbol_error)

@@ -123,7 +123,7 @@ def _check_op_gradients(seed):
     _rand(rng, 3, 4)  # the retired scale case's draw
     cases += [
         ("gelu", lambda a: sum_all(gelu(a)), [_rand(rng, 4, 4)]),
-        ("concat", lambda a, b: sum_all(mul(concat([a, b], axis=0), concat([a, b], axis=0))),
+        ("concat", lambda a, b: sum_all(mul(concat([a, b]), concat([a, b]))),
          [_rand(rng, 2, 3), _rand(rng, 4, 3)]),
         ("layer_norm", lambda a, g, b: sum_all(mul(layer_norm(a, g, b), target)),
          [_rand(rng, 4, 6), 1.0 + 0.1 * _rand(rng, 6), 0.1 * _rand(rng, 6)]),

@@ -190,7 +190,7 @@ def test_criterion_3_gradient_suite():
          [rand(505, 4, 4), rand(506, 4)]),
         ("mul", lambda a, b: sum_all(mul(a, b)), [rand(509, 4, 4), rand(510, 4, 4)]),
         ("gelu", lambda a: sum_all(gelu(a)), [rand(512, 5, 5)]),
-        ("concat", lambda a, b: sum_all(mul(concat([a, b], 0), concat([a, b], 0))),
+        ("concat", lambda a, b: sum_all(mul(concat([a, b]), concat([a, b]))),
          [rand(516, 2, 3), rand(517, 3, 3)]),
         ("layer_norm", lambda a, g, b: sum_all(mul(layer_norm(a, g, b), tgt44)),
          [rand(521, 4, 4), 1.0 + 0.2 * rand(522, 4), 0.2 * rand(523, 4)]),

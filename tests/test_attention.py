@@ -12,7 +12,7 @@ from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.pooling import downsample, masked_downsample, upsample
 from stochpool.stochastic import Rng
-from stochpool.tensor import Tape, Tensor, backward, concat, matmul, mul, sum_all
+from stochpool.tensor import Tape, Tensor, backward, matmul, mul, sum_all
 
 
 def rand(seed, *shape):
@@ -180,7 +180,7 @@ class TestMultiHeadPooled:
                                 k.data[:, h * dk:(h + 1) * dk],
                                 v.data[:, h * dk:(h + 1) * dk])
                          for h in range(heads)]
-            want = matmul(concat(heads_out, axis=1), params.w_o).data
+            want = matmul(np.concatenate([h.data for h in heads_out], axis=1), params.w_o).data
             assert np.array_equal(got, want)
 
     def test_output_shape_for_all_factor_pairs(self):

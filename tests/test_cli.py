@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, config echoing."""
 
 import argparse
+import hashlib
 import json
 import sys
 import wave
@@ -12,7 +13,7 @@ from stochpool import pooling
 from stochpool.cli import _build_parser, _load_run_config, main
 from stochpool.cost_model import CSV_HEADER
 from stochpool.data import synth_audio, write_wav
-from stochpool.encoder import load_checkpoint
+from stochpool.encoder import load_checkpoint, save_checkpoint
 from stochpool.runconfig import RunConfig, load_config, parse_config_text
 
 
@@ -270,6 +271,46 @@ class TestFinetuneAndDecode:
         assert "head" in capsys.readouterr().err
 
 
+def _rewritten(finetuned, path, problem):
+    """A copy of ``finetuned`` that parses but carries ``problem``."""
+    ck = load_checkpoint(finetuned)
+    meta = ck.meta
+    if problem == "shape":
+        ck.params["layer0.ffn.b1"] = ck.params["layer0.ffn.b1"][:7]
+    elif problem == "meta":
+        meta = ["phase", "finetune"]
+    else:
+        meta = {**meta, "token_vocab": {"a": "one", "b": 2}}
+    save_checkpoint(path, ck.config, ck.params, meta)
+    return path
+
+
+BAD_CONTENT_MESSAGES = {
+    "shape": "'layer0.ffn.b1' has shape (7,), expected (256,)",
+    "meta": "meta is not a JSON object",
+    "token_vocab": "token_vocab must map tokens to integer ids",
+}
+
+
+class TestBadCheckpointContents:
+    @pytest.mark.parametrize("problem,command", [
+        ("shape", "decode"), ("shape", "sweep"), ("meta", "decode"), ("token_vocab", "decode"),
+    ])
+    def test_exits_two_naming_the_file(self, finetuned, tmp_path, capsys, problem, command):
+        bad = _rewritten(finetuned, tmp_path / "bad.stpl", problem)
+        if command == "decode":
+            wav = tmp_path / "a.wav"
+            write_wav(wav, synth_audio(3))
+            argv = ["decode", str(bad), str(wav)]
+        else:
+            cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out", checkpoint=bad,
+                            utterances=1)
+            argv = ["sweep", str(cfg), "--no-measure"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and BAD_CONTENT_MESSAGES[problem] in err
+
+
 class TestSweepCommand:
     def test_default_sweep_emits_four_rows(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out",
@@ -302,6 +343,30 @@ class TestSweepCommand:
                                            "--no-measure"])
         rc = _load_run_config(args)
         assert rc.sweep_configs == "2-1-2" and rc.measure is False
+
+    def test_no_measure_outputs_match_golden(self, tmp_path):
+        # recorded bytes: the CSV/JSON schema is frozen, and the MACs are exact
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("preset = tiny\nframes = 60\nutterances = 2\n")
+        assert run("sweep", str(cfg), "--no-measure", "--output-dir", str(tmp_path / "out")) == 0
+        out = tmp_path / "out"
+        assert (out / "sweep.csv").read_text() == (
+            CSV_HEADER + "\n"
+            "1-1-1,tiny,120,15482880,1843200,3932160,7864320,1843200,0,,,,\n"
+            "2-1-1,tiny,120,7526400,460800,1966080,3932160,921600,245760,,,,\n"
+            "2-2-1,tiny,120,6804480,230400,1474560,3932160,921600,245760,,,,\n"
+            "2-2-2,tiny,120,6197760,115200,983040,3932160,921600,245760,,,,\n")
+        for name, digest in (
+                ("sweep.csv", "3d792bd9fe3d5ba5b9263752dba05d131cb8c7a731dd1217cade153907170400"),
+                ("sweep.json", "25bfc8b08a1f11967022ca030458c4d8d3f4b3b74e4dc7bf01ae8980a38633cc")):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_negative_frames_exit_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out", frames=-5)
+        assert run("sweep", str(cfg), "--no-measure") == 2
+        err = capsys.readouterr().err
+        assert "min_frames" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_triplet_rejected_with_position(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out")

@@ -1,5 +1,7 @@
 """Encoder pipeline: feature extractor, squeeze network, checkpoints."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.stochastic import Rng, fixed_config
 from stochpool.tensor import Tensor, add, concat, conv1d, count_macs, gelu, layer_norm, matmul
+from stochpool.training import make_head
 
 
 def rand(seed, *shape):
@@ -27,21 +30,30 @@ def rand(seed, *shape):
 
 class TestFeatureExtractorConfig:
     def test_compact_stack_shape(self):
-        fe = FeatureExtractorConfig.compact(64)
+        fe = FeatureExtractorConfig(64)
         assert [c for _, _, c in fe.layers] == [64, 64, 128, 128, 256, 256, 512]
         assert fe.receptive_field == 400
 
-    def test_stride_product_enforced(self):
-        with pytest.raises(ConfigError, match="320"):
-            FeatureExtractorConfig(((10, 5, 8), (3, 2, 8)))
+    def test_pattern_strides_reach_50_hz(self):
+        assert np.prod([s for _, s, _ in encoder_module._COMPACT_PATTERN]) == 320
 
-    def test_channel_doubling_rule_enforced(self):
-        bad = tuple((k, s, 8) for k, s, _ in FeatureExtractorConfig.compact(8).layers)
-        with pytest.raises(ConfigError, match="double"):
-            FeatureExtractorConfig(bad)
+    def test_pattern_doubles_channels_exactly_at_each_4x_point(self):
+        pattern = encoder_module._COMPACT_PATTERN
+        cum = ref = pattern[0][1]
+        for (_, s, m), (_, _, prev) in zip(pattern[1:], pattern):
+            cum *= s
+            if cum >= 4 * ref:
+                assert m == 2 * prev, f"no doubling at cumulative stride {cum}"
+                ref = cum
+            else:
+                assert m == prev, f"width changes between 4x points, at stride {cum}"
+
+    def test_base_channels_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="base_channels"):
+            EncoderConfig(model_dim=16, depth=1, heads=2, base_channels=0)
 
     def test_frames_samples_inverse(self):
-        fe = FeatureExtractorConfig.compact(8)
+        fe = FeatureExtractorConfig(8)
         for frames in (1, 2, 7, 49, 100):
             assert fe.frames_for_samples(fe.samples_for_frames(frames)) == frames
 
@@ -76,7 +88,7 @@ def plain_post_ln_encoder(model, feats):
     pad = (cfg.pos_conv_kernel - 1) // 2
     zeros = Tensor(np.zeros((pad, cfg.model_dim)))
     x = Tensor(feats)
-    pos = conv1d(concat([zeros, x, zeros], axis=0), p["pos_conv.weight"],
+    pos = conv1d(concat([zeros, x, zeros]), p["pos_conv.weight"],
                  stride=1, groups=cfg.pos_conv_groups)
     x = add(x, gelu(pos))
     x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
@@ -272,6 +284,16 @@ class TestCheckpoint:
         path2 = tmp_path / "again.stpl"
         save_checkpoint(path2, ck.config, ck.params, ck.meta)
         assert path2.read_bytes() == original
+
+    def test_saved_bytes_match_golden(self, tmp_path):
+        # recorded digest: pins the on-disk format (header JSON, tensor order, float32 bytes)
+        model = EncoderModel(preset("tiny"), seed=31)
+        path = tmp_path / "model.stpl"
+        save_checkpoint(path, model.config, {**model.params, **make_head(64, 4, seed=32)},
+                        meta={"phase": "finetune", "vocab_size": 4,
+                              "token_vocab": {"a": 1, "b": 2}})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ae0a1c7be345feff2982d8c20d5b24059a05a4d0510891a3fed7a75ae9967309")
 
     def test_rebuild_model_and_extras(self, tmp_path):
         model = EncoderModel(preset("tiny"), seed=26)
