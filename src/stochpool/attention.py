@@ -71,8 +71,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
 from .pooling import downsample, masked_downsample, upsample
-from .tensor import (Tensor, _active_macs, _merge_groups, _split_groups, _wrap, as_tensor,
-                     mac_scope, matmul)
+from .tensor import (Tensor, _merge_groups, _split_groups, _state, _wrap, as_tensor, mac_scope,
+                     matmul)
 
 
 @dataclass(frozen=True)
@@ -139,32 +139,36 @@ def _shift_free(qs: np.ndarray, k: np.ndarray, v: np.ndarray, tk: int) -> bool:
     empty key set all give False, so they take the shifted path.
     """
     limit, v_lo, v_hi = _SHIFT_FREE[qs.dtype]
-    q2 = float(np.einsum("ij,ij->i", qs, qs).max(initial=0.0))
-    k2 = float(np.einsum("ij,ij->i", k, k).max(initial=0.0))
-    v_max = float(np.abs(v).max(initial=0.0))
+    largest = np.maximum.reduce
+    q2 = float(largest(np.einsum("ij,ij->i", qs, qs), axis=None, initial=0.0))
+    k2 = float(largest(np.einsum("ij,ij->i", k, k), axis=None, initial=0.0))
+    v_max = float(largest(np.abs(v), axis=None, initial=0.0))
     return q2 * k2 < limit * limit and tk * v_lo < v_max and tk * v_max <= v_hi
 
 
 def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
     """softmax(q k^T / sqrt(d) + key mask) v for each head, as one tape op."""
-    tq, tk = q.shape[0], k.shape[0]
-    d = q.shape[1] // heads
-    macs = _active_macs()
+    qd, kd, vd = q.data, k.data, v.data
+    tq, tk = qd.shape[0], kd.shape[0]
+    d = qd.shape[1] // heads
+    macs = _state.macs
     if macs is not None:
-        macs.add(heads * tq * tk * (d + v.shape[1] // heads))
+        macs.add(heads * tq * tk * (d + vd.shape[1] // heads))
     c = 1.0 / math.sqrt(d)
-    qs = q.data * c  # scale the (Tq, E) queries, not the (H, Tq, Tk) logits
+    qs = qd * c  # scale the (Tq, E) queries, not the (H, Tq, Tk) logits
     masked = mask is not None and not mask.all()
-    shift = not _shift_free(qs, k.data, v.data[mask] if masked else v.data, tk)
-    qh, kh, vh = (_split_groups(a, heads) for a in (qs, k.data, v.data))
+    shift = not _shift_free(qs, kd, vd[mask] if masked else vd, tk)
+    qh = _split_groups(qs, heads)
+    kh = _split_groups(kd, heads)
+    vh = _split_groups(vd, heads)
     # the one (H, Tq, Tk) buffer: logits, then unnormalised weights, in place
     p = qh @ kh.transpose(0, 2, 1)
     if masked:
         p += np.where(mask, 0.0, -np.inf).astype(p.dtype)
     if shift:  # only when the bound cannot rule out overflow or underflow
-        p -= p.max(axis=2, keepdims=True)
+        p -= np.maximum.reduce(p, axis=2, keepdims=True)
     np.exp(p, out=p)
-    row_sums = p.sum(axis=2, keepdims=True)
+    row_sums = np.add.reduce(p, axis=2, keepdims=True)
     oh = p @ vh
     oh /= row_sums  # normalise the (H, Tq, d_v) output, not the weights
 
@@ -174,7 +178,7 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
         dv = p.transpose(0, 2, 1) @ gh
         ds = gh @ vh.transpose(0, 2, 1)
         # sum_k p_k (g . v_k) = g . out, so the row term needs no (H, Tq, Tk) product
-        ds -= (gh * oh).sum(axis=2, keepdims=True)
+        ds -= np.add.reduce(gh * oh, axis=2, keepdims=True)
         ds *= p
         dq = ds @ kh
         dq *= c  # the logits are (c q) k^T; qh already carries c for the key gradient
@@ -194,20 +198,23 @@ def attend(q, k, v, mask=None, heads: int = 1) -> Tensor:
     for every key to be masked: the attention distribution would be
     undefined.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+    q = q if type(q) is Tensor else as_tensor(q)
+    k = k if type(k) is Tensor else as_tensor(k)
+    v = v if type(v) is Tensor else as_tensor(v)
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
         raise ShapeError("attend requires 2-D q, k, v")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query/key widths disagree: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key/value lengths disagree: {k.shape} vs {v.shape}")
-    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
-        raise ConfigError(f"widths {q.shape[1]} and {v.shape[1]} must be divisible "
+    if qd.shape[1] != kd.shape[1]:
+        raise ShapeError(f"query/key widths disagree: {qd.shape} vs {kd.shape}")
+    if kd.shape[0] != vd.shape[0]:
+        raise ShapeError(f"key/value lengths disagree: {kd.shape} vs {vd.shape}")
+    if heads < 1 or qd.shape[1] % heads or vd.shape[1] % heads:
+        raise ConfigError(f"widths {qd.shape[1]} and {vd.shape[1]} must be divisible "
                           f"by heads={heads}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (k.shape[0],):
-            raise ShapeError(f"key mask must have shape ({k.shape[0]},), got {mask.shape}")
+        if mask.shape != (kd.shape[0],):
+            raise ShapeError(f"key mask must have shape ({kd.shape[0]},), got {mask.shape}")
         if not mask.any():
             raise InputError("all attention keys are masked; distribution undefined")
     return _fused_attention(q, k, v, mask, heads)
@@ -217,10 +224,12 @@ def multi_head_pooled(x, params: AttentionParams, factors: PoolFactors, mask=Non
     """Multi-head attention over x, pooled before projecting: queries by
     s_q, keys and values by s_k (over the rows ``mask`` marks valid, when
     given); the output is upsampled back to len(x)."""
-    x = as_tensor(x)
-    if x.ndim != 2 or x.shape[1] != params.model_dim:
-        raise ShapeError(f"input width must be {params.model_dim}, got shape {x.shape}")
-    n = x.shape[0]
+    x = x if type(x) is Tensor else as_tensor(x)
+    shape = x.data.shape
+    width = params.w_q.data.shape[0]
+    if len(shape) != 2 or shape[1] != width:
+        raise ShapeError(f"input width must be {width}, got shape {shape}")
+    n = shape[0]
     s_q, s_k = factors.s_q, factors.s_k
     x_q = downsample(x, s_q) if s_q > 1 else x
     if s_k > 1 and mask is not None:

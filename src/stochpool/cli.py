@@ -144,11 +144,19 @@ def _model_from(rc: RunConfig):
     return EncoderModel(preset(rc.preset), seed=rc.seed), {}, {}
 
 
-def _head_from(extras: dict):
-    """The output head among a checkpoint's extra parameters, or None."""
-    if "head.weight" in extras and "head.bias" in extras:
-        return {name: extras[name] for name in ("head.weight", "head.bias")}
-    return None
+def _head_from(extras: dict, model_dim: int, path, vocab: int | None = None):
+    """The output head among the extra parameters of the checkpoint at
+    ``path``, or None. Its weight must be (E, V+1) and its bias (V+1,), for
+    the encoder width E and, when given, the vocabulary size V."""
+    if "head.weight" not in extras or "head.bias" not in extras:
+        return None
+    weight, bias = extras["head.weight"].shape, extras["head.bias"].shape
+    if not (len(weight) == 2 and weight[0] == model_dim and bias == weight[1:]
+            and (vocab is None or weight[1] == vocab + 1)):
+        where = "" if vocab is None else f" with V = vocab_size {vocab}"
+        raise InputError(f"{path}: head.weight {weight} and head.bias {bias} must be "
+                         f"({model_dim}, V+1) and (V+1,){where}")
+    return {"head.weight": extras["head.weight"], "head.bias": extras["head.bias"]}
 
 
 def _labeled_datasets(rc: RunConfig, model_dim: int):
@@ -209,7 +217,8 @@ def cmd_finetune(args) -> int:
     plan = _plan(rc, "ctc", model.config.depth)
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)
-    result = finetune(model, plan, train, vocab, val_dataset=val, head=_head_from(extras))
+    head = _head_from(extras, model.config.model_dim, rc.checkpoint, vocab)
+    result = finetune(model, plan, train, vocab, val_dataset=val, head=head)
     write_train_log(out / "train_log.jsonl", result.log)
     meta = {"phase": "finetune", "preset": rc.preset, "seed": rc.seed, "mode": rc.mode,
             "vocab_size": vocab}
@@ -231,8 +240,11 @@ STANDARD_SWEEP = ("1-1-1", "2-1-1", "2-2-1", "2-2-2")
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
     model, extras, meta = _model_from(rc)
-    head = _head_from(extras)
     vocab = meta.get("vocab_size", rc.vocab_size)
+    if "vocab_size" in meta and (type(vocab) is not int or vocab < 1):
+        raise InputError(f"{rc.checkpoint}: meta vocab_size must be a positive integer, "
+                         f"got {vocab!r}")
+    head = _head_from(extras, model.config.model_dim, rc.checkpoint, vocab)
     triplets = list(STANDARD_SWEEP) + [t for t in rc.sweep_configs.split(",") if t.strip()]
     configs = [fixed_config(*parse_triplet(t), model.config.depth) for t in triplets]
     if head is not None:
@@ -276,7 +288,7 @@ def cmd_cost(args) -> int:
 def cmd_decode(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     model, extras = ck.build_model()
-    head = _head_from(extras)
+    head = _head_from(extras, model.config.model_dim, args.checkpoint)
     if head is None:
         raise InputError(f"{args.checkpoint}: no output head; fine-tune before decoding")
     s_f, s_k, s_q = parse_triplet(args.config)

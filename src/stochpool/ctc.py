@@ -10,6 +10,8 @@ id 0; real labels are 1..V.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InfeasibleLabelError, InputError, ShapeError
@@ -19,8 +21,8 @@ BLANK = 0
 
 
 def _validate_labels(labels, vocab: int) -> tuple:
-    labels = tuple(int(l) for l in labels)
-    if any(l < 1 or l > vocab for l in labels):
+    labels = tuple(map(int, labels))
+    if labels and (min(labels) < 1 or max(labels) > vocab):
         raise ShapeError(f"labels must lie in 1..{vocab}, got {labels}")
     return labels
 
@@ -28,13 +30,12 @@ def _validate_labels(labels, vocab: int) -> tuple:
 def min_frames(labels) -> int:
     """Fewest frames that can realize the label sequence under CTC."""
     labels = tuple(labels)
-    repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
-    return len(labels) + repeats
+    return len(labels) + sum(map(operator.eq, labels, labels[1:]))
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    norm = np.exp(shifted).sum(axis=1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    norm = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
     shifted -= np.log(norm, out=norm)
     return shifted
 
@@ -46,10 +47,11 @@ def ctc_loss(logits, labels) -> Tensor:
     InfeasibleLabelError when the label sequence cannot fit in T frames
     (rather than returning an infinite loss).
     """
-    logits = as_tensor(logits)
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise ShapeError(f"logits must be T x (V+1) with V >= 1, got {logits.shape}")
-    t_len, width = logits.shape
+    logits = logits if type(logits) is Tensor else as_tensor(logits)
+    data = logits.data
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise ShapeError(f"logits must be T x (V+1) with V >= 1, got {data.shape}")
+    t_len, width = data.shape
     labels = _validate_labels(labels, width - 1)
     needed = min_frames(labels)
     if t_len < needed:
@@ -57,7 +59,7 @@ def ctc_loss(logits, labels) -> Tensor:
             f"labels of collapsed length {len(labels)} need at least {needed} frames, got {t_len}"
         )
 
-    lp = _log_softmax(logits.data.astype(np.float64))
+    lp = _log_softmax(data.astype(np.float64))
     z = np.zeros(2 * len(labels) + 1, dtype=np.int64)
     z[1::2] = labels
     s_len = len(z)
@@ -109,12 +111,12 @@ def ctc_loss(logits, labels) -> Tensor:
     np.add.at(posterior.T, z, occupancy.T)
     grad_logits = np.exp(lp)
     grad_logits -= posterior
-    grad_logits = grad_logits.astype(logits.dtype, copy=False)
+    grad_logits = grad_logits.astype(data.dtype, copy=False)
 
     def bwd(g):
         return (g * grad_logits,)
 
-    loss_value = np.asarray(-log_p, dtype=logits.dtype)
+    loss_value = np.asarray(-log_p, dtype=data.dtype)
     return _wrap(loss_value, (logits,), bwd)
 
 
@@ -155,11 +157,15 @@ def collapse(frame_ids) -> list:
 
 
 def greedy_decode(logits) -> list:
-    """Per-frame argmax (ties to the lowest id), collapsed to labels."""
+    """Per-frame argmax (ties to the lowest id), collapsed to labels: a
+    frame is kept when it is not blank and differs from the frame before."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     if data.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {data.shape}")
-    return collapse(np.argmax(data, axis=1))
+    ids = data.argmax(axis=1)
+    keep = ids != BLANK
+    keep[1:] &= ids[1:] != ids[:-1]
+    return ids[keep].tolist()
 
 
 def edit_distance(hyp, ref) -> int:

@@ -120,15 +120,16 @@ class SymbolFeatureDataset:
             raise IndexError(index)
         rng = self._rng.fork(f"utt{index}")
         n_symbols = self.min_symbols + rng.integer(self.max_symbols - self.min_symbols + 1)
-        labels = tuple(1 + rng.integer(self.vocab) for _ in range(n_symbols))
-        gap = np.zeros((SYMBOL_GAP_FRAMES, self.dim))
-        rows = [gap]
+        labels = tuple([1 + rng.integer(self.vocab) for _ in range(n_symbols)])
+        # the noise first, then each symbol's prototype added onto its rows
+        # in place; the gap rows are noise alone
+        period = SYMBOL_FRAMES + SYMBOL_GAP_FRAMES
+        frames = SYMBOL_GAP_FRAMES + n_symbols * period
+        feats = rng.normal(frames * self.dim, scale=SYMBOL_NOISE).reshape(frames, self.dim)
+        start = SYMBOL_GAP_FRAMES
         for label in labels:
-            seg = np.tile(self._protos[label - 1], (SYMBOL_FRAMES, 1))
-            rows.append(seg)
-            rows.append(gap)
-        feats = np.concatenate(rows, axis=0)
-        feats = feats + SYMBOL_NOISE * rng.normal(feats.size).reshape(feats.shape)
+            feats[start:start + SYMBOL_FRAMES] += self._protos[label - 1]
+            start += period
         return Utterance(features=feats, labels=labels)
 
 
@@ -153,7 +154,9 @@ def read_wav(path) -> np.ndarray:
     """Load a RIFF/WAVE file; must be PCM 16-bit mono at exactly 16 kHz.
 
     Anything else is rejected rather than resampled, so results stay
-    bit-deterministic across machines.
+    bit-deterministic across machines. Every exception the stdlib ``wave``
+    reader raises (``RuntimeError`` among them, for a chunk size that
+    points past its chunk) becomes an InputError naming the file.
     """
     try:
         with wave.open(str(path), "rb") as fh:
@@ -162,8 +165,9 @@ def read_wav(path) -> np.ndarray:
             rate = fh.getframerate()
             declared = fh.getnframes()
             frames = fh.readframes(declared)
-    except (wave.Error, EOFError, OSError) as exc:
-        raise InputError(f"{path}: not a readable WAV file ({exc})") from exc
+    except (wave.Error, EOFError, OSError, RuntimeError, ValueError) as exc:
+        detail = str(exc) or type(exc).__name__
+        raise InputError(f"{path}: not a readable WAV file ({detail})") from exc
     if channels != 1:
         raise InputError(f"{path}: expected mono audio, got {channels} channels")
     if width != 2:

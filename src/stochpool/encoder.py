@@ -23,7 +23,8 @@ import io
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,7 +100,11 @@ class FeatureExtractorConfig:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Shape of one encoder instance, including its factor capability ceilings."""
+    """Shape of one encoder instance, including its factor capability ceilings.
+
+    Every field must be an ``int`` (not a ``bool``), at least 1, except
+    ``ffn_dim``, which may be 0 for the default 4 * model_dim.
+    """
 
     model_dim: int
     depth: int
@@ -113,11 +118,14 @@ class EncoderConfig:
     max_q_pool: int = 2
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.base_channels < 1:
-            raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.heads < 1 or self.model_dim % self.heads:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            least = 0 if f.name == "ffn_dim" else 1
+            if value < least:
+                raise ConfigError(f"{f.name} must be >= {least}, got {value}")
+        if self.model_dim % self.heads:
             raise ConfigError(f"model_dim {self.model_dim} must be divisible by "
                               f"heads {self.heads}")
         if self.ffn_dim == 0:
@@ -127,9 +135,6 @@ class EncoderConfig:
         if self.model_dim % self.pos_conv_groups:
             raise ConfigError(f"model_dim {self.model_dim} must be divisible by "
                               f"pos_conv_groups {self.pos_conv_groups}")
-        for name in ("max_squeeze", "max_kv_pool", "max_q_pool"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
 
 
 _PRESETS = {
@@ -190,6 +195,23 @@ def parameter_spec(config: EncoderConfig) -> dict:
     return shapes
 
 
+def _parameter_total(config: EncoderConfig) -> int:
+    """Number of values ``parameter_spec(config)`` describes, by arithmetic
+    alone, so that a config from an untrusted header can be checked before
+    anything its size depends on is built."""
+    e, f = config.model_dim, config.ffn_dim
+    total, c_in = 0, 1
+    for k, _, c_out in FeatureExtractorConfig(config.base_channels).layers:
+        total += c_out * c_in * k
+        c_in = c_out
+    total += 2 * c_in + c_in * e + e  # extractor norm and projection
+    total += e * (e // config.pos_conv_groups) * config.pos_conv_kernel + 2 * e
+    total += config.depth * (4 * e * e + 2 * e * f + f + 5 * e)
+    if config.max_squeeze > 1:
+        total += e * e + e
+    return total
+
+
 def _init_value(name: str, shape: tuple, rng: Rng) -> np.ndarray:
     if name.endswith(".gamma"):
         return np.ones(shape)
@@ -202,6 +224,19 @@ def _init_value(name: str, shape: tuple, rng: Rng) -> np.ndarray:
     return rng.fork(name).normal_matrix(shape, scale=1.0 / np.sqrt(fan_in))
 
 
+class _Layer(NamedTuple):
+    """One transformer layer's parameters besides attention."""
+
+    norm1_gamma: Tensor
+    norm1_beta: Tensor
+    ffn_w1: Tensor
+    ffn_b1: Tensor
+    ffn_w2: Tensor
+    ffn_b2: Tensor
+    norm2_gamma: Tensor
+    norm2_beta: Tensor
+
+
 class EncoderModel:
     """Parameters plus topology; immutable during evaluation.
 
@@ -210,6 +245,10 @@ class EncoderModel:
     is what lets gradient maps be looked up by tensor. ``params`` given as
     Tensors of the model's dtype are kept as they are, so a tape sees the
     caller's tensors; other values are wrapped, cast to the dtype.
+
+    The forward paths look no parameter up by name: each layer's tensors
+    are gathered once here, and each (s_k, s_q) pair's ``PoolFactors`` is
+    made on first use and kept with the model.
     """
 
     def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float64, params=None):
@@ -244,6 +283,17 @@ class EncoderModel:
                             heads=config.heads)
             for i in range(config.depth)
         ]
+        self._layers = [
+            _Layer(*(p[f"layer{i}.{name}"] for name in (
+                "norm1.gamma", "norm1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+                "norm2.gamma", "norm2.beta")))
+            for i in range(config.depth)
+        ]
+        self._fe_convs = [(p[f"fe.conv{i}.weight"], stride)
+                          for i, (_, stride, _) in enumerate(self.fe.layers)]
+        pad = (config.pos_conv_kernel - 1) // 2
+        self._pos_pad = as_tensor(np.zeros((pad, config.model_dim), dtype=self.dtype))
+        self._pool_factors = {}  # (s_k, s_q) -> PoolFactors
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
@@ -274,20 +324,17 @@ class EncoderModel:
         del normed  # a float32 model has its own copy: free the float64 one before the convs
         p = self.params
         with mac_scope("fe"):
-            for i, (_, stride, _) in enumerate(self.fe.layers):
-                x = gelu(conv1d(x, p[f"fe.conv{i}.weight"], stride=stride))
+            for weight, stride in self._fe_convs:
+                x = gelu(conv1d(x, weight, stride=stride))
             x = layer_norm(x, p["fe.norm.gamma"], p["fe.norm.beta"])
             x = add(matmul(x, p["fe.proj.weight"]), p["fe.proj.bias"])
         return x
 
     def _positional(self, x: Tensor) -> Tensor:
-        cfg = self.config
-        pad = (cfg.pos_conv_kernel - 1) // 2
-        zeros = np.zeros((pad, cfg.model_dim), dtype=self.dtype)
-        padded = concat([zeros, x, zeros])
+        padded = concat([self._pos_pad, x, self._pos_pad])
         with mac_scope("fe"):
             conv = conv1d(padded, self.params["pos_conv.weight"],
-                          stride=1, groups=cfg.pos_conv_groups)
+                          stride=1, groups=self.config.pos_conv_groups)
         return add(x, gelu(conv))
 
     def forward(self, features, config: CompressionConfig, valid=None) -> Tensor:
@@ -296,18 +343,18 @@ class EncoderModel:
         Output length always equals input length; ``valid`` optionally
         marks real (unpadded) frames and is pooled alongside the data.
         """
-        x = as_tensor(features, dtype=None if isinstance(features, Tensor) else self.dtype)
+        x = features if type(features) is Tensor else as_tensor(features, dtype=self.dtype)
         cfg = self.config
-        if x.ndim != 2 or x.shape[1] != cfg.model_dim:
-            raise ShapeError(f"features must be T x {cfg.model_dim}, got {x.shape}")
+        shape = x.data.shape
+        if len(shape) != 2 or shape[1] != cfg.model_dim:
+            raise ShapeError(f"features must be T x {cfg.model_dim}, got {shape}")
         config.check_fits(cfg)
+        t_in = shape[0]
         if valid is not None:
             valid = np.asarray(valid, dtype=bool)
-            if valid.shape != (x.shape[0],):
-                raise ShapeError(f"valid mask must have shape ({x.shape[0]},), "
-                                 f"got {valid.shape}")
+            if valid.shape != (t_in,):
+                raise ShapeError(f"valid mask must have shape ({t_in},), got {valid.shape}")
 
-        t_in = x.shape[0]
         v = valid
         if v is not None:  # also at s_f = 1, where it zeroes the padded frames
             x, v = masked_downsample(x, config.s_f, v)
@@ -316,15 +363,17 @@ class EncoderModel:
         x = self._positional(x)
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
-        for i, (s_k, s_q) in enumerate(config.per_layer):
-            attn_out = multi_head_pooled(x, self.attention[i],
-                                         PoolFactors(s_q=s_q, s_k=s_k), v)
-            x = layer_norm(add(x, attn_out),
-                           p[f"layer{i}.norm1.gamma"], p[f"layer{i}.norm1.beta"])
+        pool_factors = self._pool_factors
+        for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):
+            factors = pool_factors.get(pair)
+            if factors is None:
+                factors = pool_factors[pair] = PoolFactors(s_k=pair[0], s_q=pair[1])
+            attn_out = multi_head_pooled(x, attn, factors, v)
+            x = layer_norm(add(x, attn_out), layer.norm1_gamma, layer.norm1_beta)
             with mac_scope("ffn"):
-                h = gelu(add(matmul(x, p[f"layer{i}.ffn.w1"]), p[f"layer{i}.ffn.b1"]))
-                h = add(matmul(h, p[f"layer{i}.ffn.w2"]), p[f"layer{i}.ffn.b2"])
-            x = layer_norm(add(x, h), p[f"layer{i}.norm2.gamma"], p[f"layer{i}.norm2.beta"])
+                h = gelu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
+                h = add(matmul(h, layer.ffn_w2), layer.ffn_b2)
+            x = layer_norm(add(x, h), layer.norm2_gamma, layer.norm2_beta)
         if config.s_f > 1:
             with mac_scope("upsample"):
                 x = add(matmul(x, p["upsample.weight"]), p["upsample.bias"])
@@ -391,9 +440,10 @@ def load_checkpoint(path) -> Checkpoint:
 
     Every read is bounds-checked: a truncated or corrupt file, or one with
     bytes after the last tensor, raises InputError naming the offset; an
-    unreadable path, a ``meta`` that is not an object, or an encoder tensor
-    whose shape disagrees with the header config raises InputError naming
-    the path.
+    unreadable path, a ``meta`` that is not an object, a header config
+    with more encoder values than the file has bytes for, or an encoder
+    tensor whose shape disagrees with the header config raises InputError
+    naming the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -431,6 +481,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise corrupt("header", exc) from None
     if not isinstance(meta, dict):
         raise InputError(f"{path}: corrupt checkpoint: header meta is not a JSON object")
+    needed = 4 * _parameter_total(config)
+    if needed > len(view) - offset:
+        raise InputError(f"{path}: corrupt checkpoint: the header config needs {needed} bytes "
+                         f"of float32 parameters, {len(view) - offset} are left")
     (n_params,) = unpack("<I", "parameter count")
     params = {}
     for _ in range(n_params):

@@ -38,42 +38,44 @@ def _block_sums(a: np.ndarray, factor: int) -> np.ndarray:
     n = a.shape[0]
     full = n - n % factor
     out = np.empty((output_length(n, factor),) + a.shape[1:], dtype=a.dtype)
-    a[:full].reshape((-1, factor) + a.shape[1:]).sum(axis=1, out=out[:full // factor])
+    np.add.reduce(a[:full].reshape((-1, factor) + a.shape[1:]), axis=1, out=out[:full // factor])
     if full < n:
-        a[full:].sum(axis=0, keepdims=True, out=out[-1:])
+        np.add.reduce(a[full:], axis=0, keepdims=True, out=out[-1:])
     return out
 
 
 def downsample(x, factor) -> Tensor:
     """Mean over consecutive row blocks; output has ceil(N/factor) rows."""
-    x = as_tensor(x)
+    x = x if type(x) is Tensor else as_tensor(x)
     factor = _check_factor(factor)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"downsample requires a non-empty N x D tensor, got {x.shape}")
+    xd = x.data
+    if xd.ndim != 2 or xd.shape[0] < 1:
+        raise ShapeError(f"downsample requires a non-empty N x D tensor, got {xd.shape}")
     if factor == 1:
         return _identity(x)
-    n = x.shape[0]
+    n = xd.shape[0]
     starts = np.arange(0, n, factor)
-    counts = np.minimum(factor, n - starts).astype(x.data.dtype)
+    counts = np.minimum(factor, n - starts).astype(xd.dtype)
     # mean as first-row + mean of deviations: bit-exact on blocks of
     # identical rows, which makes downsample(upsample(y)) == y hold exactly
-    base = x.data[::factor]
-    deviations = x.data - np.repeat(base, factor, axis=0)[:n]
+    base = xd[::factor]
+    deviations = xd - base.repeat(factor, axis=0)[:n]
     out = base + _block_sums(deviations, factor) / counts[:, None]
 
     def bwd(g):
-        return (np.repeat(g / counts[:, None], factor, axis=0)[:n],)
+        return ((g / counts[:, None]).repeat(factor, axis=0)[:n],)
 
     return _wrap(out, (x,), bwd)
 
 
 def upsample(x, factor, truncate_to=None) -> Tensor:
     """Repeat each row `factor` times, then truncate to ``truncate_to`` rows."""
-    x = as_tensor(x)
+    x = x if type(x) is Tensor else as_tensor(x)
     factor = _check_factor(factor)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"upsample requires a non-empty N x D tensor, got {x.shape}")
-    n = x.shape[0]
+    xd = x.data
+    if xd.ndim != 2 or xd.shape[0] < 1:
+        raise ShapeError(f"upsample requires a non-empty N x D tensor, got {xd.shape}")
+    n = xd.shape[0]
     full = n * factor
     if truncate_to is not None:
         truncate_to = int(truncate_to)
@@ -84,10 +86,10 @@ def upsample(x, factor, truncate_to=None) -> Tensor:
     if factor == 1 and (truncate_to is None or truncate_to == n):
         return _identity(x)
     length = full if truncate_to is None else truncate_to
-    out = np.repeat(x.data, factor, axis=0)[:length]
+    out = xd.repeat(factor, axis=0)[:length]
 
     def bwd(g):
-        grad = np.zeros_like(x.data)
+        grad = np.zeros_like(xd)
         sums = _block_sums(g, factor)
         grad[:len(sums)] = sums
         return (grad,)
@@ -103,24 +105,25 @@ def masked_downsample(x, factor, valid: np.ndarray):
     come out as zeros and are flagged invalid; at factor 1 that zeroes
     every invalid row.
     """
-    x = as_tensor(x)
+    x = x if type(x) is Tensor else as_tensor(x)
     factor = _check_factor(factor)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"masked_downsample requires a non-empty N x D tensor, got {x.shape}")
+    xd = x.data
+    if xd.ndim != 2 or xd.shape[0] < 1:
+        raise ShapeError(f"masked_downsample requires a non-empty N x D tensor, got {xd.shape}")
+    n = xd.shape[0]
     valid = np.asarray(valid, dtype=bool)
-    if valid.shape != (x.shape[0],):
-        raise ShapeError(f"validity mask must have shape ({x.shape[0]},), got {valid.shape}")
-    n = x.shape[0]
+    if valid.shape != (n,):
+        raise ShapeError(f"validity mask must have shape ({n},), got {valid.shape}")
     if factor == 1 and valid.all():
         return _identity(x), valid.copy()
-    weights = valid.astype(x.data.dtype)
+    weights = valid.astype(xd.dtype)
     counts = _block_sums(weights, factor)
     pooled_valid = counts > 0
     safe = np.maximum(counts, 1.0)
-    out = _block_sums(x.data * weights[:, None], factor) / safe[:, None]
+    out = _block_sums(xd * weights[:, None], factor) / safe[:, None]
 
     def bwd(g):
-        spread = np.repeat(g / safe[:, None], factor, axis=0)[:n]
+        spread = (g / safe[:, None]).repeat(factor, axis=0)[:n]
         return (spread * weights[:, None],)
 
     return _wrap(out, (x,), bwd), pooled_valid

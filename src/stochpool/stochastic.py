@@ -85,17 +85,27 @@ class Rng:
         return (self.u64_array(size) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def normal(self, size: int | None = None, scale: float = 1.0):
-        """Standard normals via Box-Muller (pairs share two uniforms)."""
+        """Normals with standard deviation ``scale`` via Box-Muller (pairs
+        share two uniforms)."""
         n = 1 if size is None else int(size)
         half = (n + 1) // 2
         raw = self.u64_array(2 * half)
-        u1 = ((raw[:half] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (raw[half:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
+        raw >>= np.uint64(11)
+        # u1 = (x + 1) 2^-53 in (0, 1] and u2 = x 2^-53 in [0, 1), in one buffer
+        u = raw.astype(np.float64)
+        u[:half] += 1.0
+        u *= 2.0**-53
+        r = np.log(u[:half])
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle = u[half:]
+        angle *= 2.0 * np.pi
         out = np.empty(2 * half, dtype=np.float64)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
-        out = out[:n] * scale
+        np.multiply(r, np.cos(angle), out=out[0::2])
+        np.multiply(r, np.sin(angle), out=out[1::2])
+        out = out[:n]
+        if scale != 1.0:
+            out *= scale
         return float(out[0]) if size is None else out
 
     def normal_matrix(self, shape, scale: float = 1.0) -> np.ndarray:

@@ -28,34 +28,59 @@ is one GEMM per group over a strided view of its input (every output
 frame's window is one row of the view); the only window copy is the
 contiguous one packed for each GEMM, as overlapping rows are not a valid
 BLAS matrix.
+
+Dispatch conventions. An op runs once per layer per utterance, and at
+desk scale its numpy work is often shorter than its Python work, so the
+ops keep the interpreter path short without changing a single float:
+
+- An operand that is already a ``Tensor`` is used as is (a ``type(x) is
+  Tensor`` test); only other values go through ``as_tensor``.
+- Shapes are read from ``.data``, not through the ``shape``/``ndim``
+  properties.
+- The thread-local tape and MAC counter are read once per op as
+  attributes of ``_state``, whose class supplies each thread's defaults.
+- Recording builds no generator: ``_wrap`` loops over the inputs, and
+  ``Tape._record`` collects their ids with ``map``.
+- Reductions call the ufunc (``np.add.reduce``) directly; ``ndarray.sum``
+  reaches the same ufunc through a Python wrapper.
+- ``mac_scope`` returns one shared null context when nothing is counting.
+
+Ops must stay module-level names that callers look up at call time
+(``from .tensor import gelu``, then ``gelu(...)``), never references
+cached on an object or in a closure: tracing wraps them by rebinding those
+names, so a cached reference would hide an op from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from operator import attrgetter
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError, UsageError
 
 _REAL_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _uid = itertools.count(1)
-_state = threading.local()
+_grad_id = attrgetter("grad_id")
+
+
+class _State(threading.local):
+    """The active tape and MAC counter; the class attributes are every
+    thread's defaults."""
+
+    tape = None
+    macs = None
+
+
+_state = _State()
+_NO_SCOPE = nullcontext()
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 LAYER_NORM_EPS = 1e-5
-
-
-def _active_tape():
-    return getattr(_state, "tape", None)
-
-
-def _active_macs():
-    return getattr(_state, "macs", None)
 
 
 class Tensor:
@@ -148,7 +173,7 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        if _active_tape() is not None:
+        if _state.tape is not None:
             raise UsageError("a gradient tape is already active in this context")
         _state.tape = self
         return self
@@ -161,7 +186,7 @@ class Tape:
         if self._consumed:
             raise UsageError("tape was already consumed by a backward pass")
         out.tape = self
-        self._records.append((out.grad_id, tuple(t.grad_id for t in inputs), backward))
+        self._records.append((out.grad_id, tuple(map(_grad_id, inputs)), backward))
 
     def gradients(self, loss: Tensor) -> GradientMap:
         """Reverse sweep from a scalar loss; consumes the tape."""
@@ -191,7 +216,7 @@ class Tape:
 @contextmanager
 def no_grad():
     """Suspend the active tape for the block: ops inside it are not recorded."""
-    saved = _active_tape()
+    saved = _state.tape
     _state.tape = None
     try:
         yield
@@ -235,7 +260,7 @@ class MacCounter:
 @contextmanager
 def count_macs():
     """Activate a fresh MacCounter for the duration of the block."""
-    if _active_macs() is not None:
+    if _state.macs is not None:
         raise UsageError("a MAC counter is already active in this context")
     counter = MacCounter()
     _state.macs = counter
@@ -245,15 +270,11 @@ def count_macs():
         _state.macs = None
 
 
-@contextmanager
 def mac_scope(label: str):
-    """Attribute MACs inside the block to `label` (no-op if not counting)."""
-    counter = _active_macs()
-    if counter is None:
-        yield
-    else:
-        with counter.scope(label):
-            yield
+    """Context manager attributing MACs inside its block to ``label``; the
+    shared null context when nothing is counting."""
+    counter = _state.macs
+    return _NO_SCOPE if counter is None else counter.scope(label)
 
 
 def _wrap(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
@@ -263,10 +284,12 @@ def _wrap(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     out.data = data
     out.grad_id = next(_uid)
     out.tape = None
-    tape = _active_tape()
+    tape = _state.tape
     if tape is not None:
-        if any(t.grad_id is not None for t in inputs):
-            tape._record(out, inputs, backward_fn)
+        for t in inputs:
+            if t.grad_id is not None:
+                tape._record(out, inputs, backward_fn)
+                break
         else:
             out.grad_id = None
     return out
@@ -290,15 +313,16 @@ def _merge_groups(a: np.ndarray) -> np.ndarray:
 def matmul(a, b) -> Tensor:
     """Matrix product of two 2-D tensors; the backward skips the product
     for a constant operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    macs = _active_macs()
-    if macs is not None:
-        macs.add(a.shape[0] * a.shape[1] * b.shape[1])
+    a = a if type(a) is Tensor else as_tensor(a)
+    b = b if type(b) is Tensor else as_tensor(b)
     ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul requires 2-D operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
+    macs = _state.macs
+    if macs is not None:
+        macs.add(ad.shape[0] * ad.shape[1] * bd.shape[1])
 
     def bwd(g):
         return (None if a.grad_id is None else g @ bd.T,
@@ -309,26 +333,29 @@ def matmul(a, b) -> Tensor:
 
 def add(a, b) -> Tensor:
     """Elementwise sum; a 1-D right operand is broadcast over rows (bias)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape == b.shape:
+    a = a if type(a) is Tensor else as_tensor(a)
+    b = b if type(b) is Tensor else as_tensor(b)
+    ad, bd = a.data, b.data
+    if ad.shape == bd.shape:
         def bwd(g):
             return g, g
 
-        return _wrap(a.data + b.data, (a, b), bwd)
-    if a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[1]:
+        return _wrap(ad + bd, (a, b), bwd)
+    if ad.ndim == 2 and bd.ndim == 1 and bd.shape[0] == ad.shape[1]:
         def bwd_bias(g):
-            return g, g.sum(axis=0)
+            return g, np.add.reduce(g, axis=0)
 
-        return _wrap(a.data + b.data, (a, b), bwd_bias)
-    raise ShapeError(f"add supports equal shapes or row-bias, got {a.shape} and {b.shape}")
+        return _wrap(ad + bd, (a, b), bwd_bias)
+    raise ShapeError(f"add supports equal shapes or row-bias, got {ad.shape} and {bd.shape}")
 
 
 def mul(a, b) -> Tensor:
     """Elementwise product of equal-shaped tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul requires equal shapes, got {a.shape} and {b.shape}")
+    a = a if type(a) is Tensor else as_tensor(a)
+    b = b if type(b) is Tensor else as_tensor(b)
     ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"mul requires equal shapes, got {ad.shape} and {bd.shape}")
 
     def bwd(g):
         return g * bd, g * ad
@@ -343,7 +370,7 @@ def gelu(a) -> Tensor:
     for the backward, and the output. It rounds exactly as the formula
     written out with temporaries does.
     """
-    a = as_tensor(a)
+    a = a if type(a) is Tensor else as_tensor(a)
     x = a.data
     s = x * x
     s *= x
@@ -376,31 +403,36 @@ def gelu(a) -> Tensor:
 
 def concat(parts) -> Tensor:
     """Concatenate 2-D tensors along rows."""
-    parts = [as_tensor(p) for p in parts]
+    parts = [p if type(p) is Tensor else as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat requires at least one tensor")
+    arrays = []
+    offsets = [0]
     for p in parts:
-        if p.ndim != 2 or p.shape[1] != parts[0].shape[1]:
+        d = p.data
+        if d.ndim != 2 or d.shape[1] != parts[0].data.shape[1]:
             raise ShapeError(
                 f"concat shapes disagree on axis 1: {[tuple(p.shape) for p in parts]}"
             )
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+        arrays.append(d)
+        offsets.append(offsets[-1] + d.shape[0])
 
     def bwd(g):
-        return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
+        return tuple([g[offsets[i]:offsets[i + 1], :] for i in range(len(parts))])
 
-    return _wrap(np.concatenate([p.data for p in parts], axis=0), tuple(parts), bwd)
+    return _wrap(np.concatenate(arrays, axis=0), tuple(parts), bwd)
 
 
 def sum_all(a) -> Tensor:
     """Sum of all entries as a scalar tensor."""
-    a = as_tensor(a)
-    shape = a.data.shape
+    a = a if type(a) is Tensor else as_tensor(a)
+    x = a.data
+    shape = x.shape
 
     def bwd(g):
         return (np.broadcast_to(g, shape).astype(g.dtype, copy=True),)
 
-    return _wrap(np.asarray(a.data.sum(), dtype=a.dtype), (a,), bwd)
+    return _wrap(np.asarray(np.add.reduce(x, axis=None), dtype=x.dtype), (a,), bwd)
 
 
 def layer_norm(a, gamma, beta) -> Tensor:
@@ -409,35 +441,37 @@ def layer_norm(a, gamma, beta) -> Tensor:
     Each row is shifted to zero mean and scaled to unit variance (up to
     ``LAYER_NORM_EPS``) before applying gamma/beta.
     """
-    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    if a.ndim != 2 or a.shape[1] < 1:
-        raise ShapeError(f"layer_norm requires an N x D tensor with D >= 1, got {a.shape}")
-    if gamma.shape != (a.shape[1],) or beta.shape != (a.shape[1],):
-        raise ShapeError(
-            f"layer_norm affine parameters must have shape ({a.shape[1]},), "
-            f"got {gamma.shape} and {beta.shape}"
-        )
-    x = a.data
+    a = a if type(a) is Tensor else as_tensor(a)
+    gamma = gamma if type(gamma) is Tensor else as_tensor(gamma)
+    beta = beta if type(beta) is Tensor else as_tensor(beta)
+    x, gd, bd = a.data, gamma.data, beta.data
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ShapeError(f"layer_norm requires an N x D tensor with D >= 1, got {x.shape}")
     n = x.shape[1]
+    if gd.shape != (n,) or bd.shape != (n,):
+        raise ShapeError(
+            f"layer_norm affine parameters must have shape ({n},), "
+            f"got {gd.shape} and {bd.shape}"
+        )
+    add_reduce = np.add.reduce
     # a row mean is the row sum over n, which .mean() rounds to as well
-    y = x - x.sum(axis=1, keepdims=True) / n
+    y = x - add_reduce(x, axis=1, keepdims=True) / n
     out = np.multiply(y, y)  # scratch for the squares, then the output
-    inv = 1.0 / np.sqrt(out.sum(axis=1, keepdims=True) / n + LAYER_NORM_EPS)
+    inv = 1.0 / np.sqrt(add_reduce(out, axis=1, keepdims=True) / n + LAYER_NORM_EPS)
     y *= inv
-    gd = gamma.data
     np.multiply(y, gd, out=out)
-    out += beta.data
+    out += bd
 
     def bwd(g):
         # dx = inv (dy - mean(dy) - y mean(dy y)) with dy = g gamma, in two
         # buffers; the scratch first holds g y for dgamma
         scratch = g * y
-        dgamma = scratch.sum(axis=0)
-        dbeta = g.sum(axis=0)
+        dgamma = add_reduce(scratch, axis=0)
+        dbeta = add_reduce(g, axis=0)
         dy = g * gd
         np.multiply(dy, y, out=scratch)
-        np.multiply(y, scratch.sum(axis=1, keepdims=True) / n, out=scratch)
-        dy -= dy.sum(axis=1, keepdims=True) / n
+        np.multiply(y, add_reduce(scratch, axis=1, keepdims=True) / n, out=scratch)
+        dy -= add_reduce(dy, axis=1, keepdims=True) / n
         dy -= scratch
         dy *= inv
         return dy, dgamma, dbeta
@@ -459,14 +493,16 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
     strided adds over all channels; for a constant input it returns dw
     only.
     """
-    a, w = as_tensor(a), as_tensor(w)
-    if a.ndim != 2 or w.ndim != 3:
+    a = a if type(a) is Tensor else as_tensor(a)
+    w = w if type(w) is Tensor else as_tensor(w)
+    ad, wd = a.data, w.data
+    if ad.ndim != 2 or wd.ndim != 3:
         raise ShapeError(f"conv1d requires (L, C_in) input and (C_out, C_in/g, k) weights, "
-                         f"got {a.shape} and {w.shape}")
+                         f"got {ad.shape} and {wd.shape}")
     stride = int(stride)
     groups = int(groups)
-    c_out, c_in_g, k = w.shape
-    length, c_in = a.shape
+    c_out, c_in_g, k = wd.shape
+    length, c_in = ad.shape
     if stride < 1 or k < 1:
         raise ConfigError(f"conv1d stride and kernel must be >= 1, got stride={stride}, k={k}")
     if groups < 1 or c_in % groups or c_out % groups:
@@ -477,17 +513,18 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
     if length < k:
         raise ShapeError(f"conv1d input length {length} is shorter than kernel {k}")
     l_out = (length - k) // stride + 1
-    macs = _active_macs()
+    macs = _state.macs
     if macs is not None:
         macs.add(l_out * c_out * c_in_g * k)
 
     # group-major input (G, L, C_in_g): a view when groups == 1, else one copy
     co_g = c_out // groups
-    xg = np.ascontiguousarray(a.data.reshape(length, groups, c_in_g).transpose(1, 0, 2))
+    xg = np.ascontiguousarray(ad.reshape(length, groups, c_in_g).transpose(1, 0, 2))
     item = xg.itemsize
-    rows = as_strided(xg, (groups, l_out, k * c_in_g),
-                      (xg.strides[0], stride * c_in_g * item, item), writeable=False)
-    wd = w.data
+    # the windows as rows of a read-only strided view over xg's buffer
+    rows = np.ndarray((groups, l_out, k * c_in_g), xg.dtype, xg, 0,
+                      (length * c_in_g * item, stride * c_in_g * item, item))
+    rows.flags.writeable = False
 
     def tap_major(gi):
         """Group gi's weights as (k * C_in_g, C_out_g), ordered like a window."""
@@ -495,7 +532,7 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
 
     # numpy would pack each group's overlapping windows into a contiguous
     # copy for BLAS anyway; packing them explicitly is faster and rounds alike
-    out = np.empty((l_out, c_out), dtype=a.data.dtype)
+    out = np.empty((l_out, c_out), dtype=ad.dtype)
     for gi in range(groups):
         np.matmul(np.ascontiguousarray(rows[gi]), tap_major(gi),
                   out=out[:, gi * co_g:(gi + 1) * co_g])

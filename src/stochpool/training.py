@@ -210,23 +210,32 @@ def _masked_regression_loss(model: EncoderModel, mask_embedding: Tensor,
 
 def _accumulate(total: dict, params: dict, grads: GradientMap):
     """Add one utterance's gradients into ``total``, whose arrays the loop
-    owns: the first gradient of a parameter is copied, later ones added in
-    place."""
+    owns and later adds to in place.
+
+    A parameter's first gradient is kept as it is when the backward pass
+    made it for that parameter alone, as a C-ordered array like the copy
+    would be; a view of another array, or an array the tape handed to two
+    parameters (both inputs of an ``add``), is copied first.
+    """
+    kept = set()
     for name, param in params.items():
         g = grads.get(param)
         if g is None:
             continue
         acc = total.get(name)
-        if acc is None:
+        if acc is not None:
+            acc += g
+        elif g.base is not None or not g.flags.c_contiguous or id(g) in kept:
             total[name] = g.copy()
         else:
-            acc += g
+            total[name] = g
+            kept.add(id(g))
 
 
 def _grad_norm(grads: dict) -> float:
     total = 0.0
     for g in grads.values():
-        total += float((g * g).sum())
+        total += float(np.add.reduce(g * g, axis=None))
     return float(np.sqrt(total))
 
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import struct
 import sys
 import wave
 
@@ -279,6 +280,13 @@ def _rewritten(finetuned, path, problem):
         ck.params["layer0.ffn.b1"] = ck.params["layer0.ffn.b1"][:7]
     elif problem == "meta":
         meta = ["phase", "finetune"]
+    elif problem == "head_rows":
+        ck.params["head.weight"] = ck.params["head.weight"][:32]
+    elif problem == "head_bias":
+        ck.params["head.bias"] = ck.params["head.bias"][:4]
+    elif problem.startswith("vocab_"):
+        meta = {**meta, "vocab_size": {"vocab_text": "four", "vocab_bool": True,
+                                       "vocab_wide": 7}[problem]}
     else:
         meta = {**meta, "token_vocab": {"a": "one", "b": 2}}
     save_checkpoint(path, ck.config, ck.params, meta)
@@ -289,12 +297,20 @@ BAD_CONTENT_MESSAGES = {
     "shape": "'layer0.ffn.b1' has shape (7,), expected (256,)",
     "meta": "meta is not a JSON object",
     "token_vocab": "token_vocab must map tokens to integer ids",
+    "head_rows": "head.weight (32, 5) and head.bias (5,) must be (64, V+1) and (V+1,)",
+    "head_bias": "head.weight (64, 5) and head.bias (4,) must be (64, V+1) and (V+1,)",
+    "vocab_text": "meta vocab_size must be a positive integer, got 'four'",
+    "vocab_bool": "meta vocab_size must be a positive integer, got True",
+    "vocab_wide": "must be (64, V+1) and (V+1,) with V = vocab_size 7",
 }
 
 
 class TestBadCheckpointContents:
     @pytest.mark.parametrize("problem,command", [
         ("shape", "decode"), ("shape", "sweep"), ("meta", "decode"), ("token_vocab", "decode"),
+        ("head_rows", "decode"), ("head_rows", "sweep"), ("head_bias", "decode"),
+        ("head_bias", "sweep"), ("vocab_text", "sweep"), ("vocab_bool", "sweep"),
+        ("vocab_wide", "sweep"),
     ])
     def test_exits_two_naming_the_file(self, finetuned, tmp_path, capsys, problem, command):
         bad = _rewritten(finetuned, tmp_path / "bad.stpl", problem)
@@ -309,6 +325,34 @@ class TestBadCheckpointContents:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert f"{bad}: " in err and BAD_CONTENT_MESSAGES[problem] in err
+
+
+def _with_header_config(finetuned, path, field, value):
+    """A copy of ``finetuned`` whose header config has ``field`` set to ``value``."""
+    blob = finetuned.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + length])
+    header["config"][field] = value
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + length:])
+    return path
+
+
+class TestBadCheckpointHeaderConfig:
+    @pytest.mark.parametrize("field,value,message", [
+        ("pos_conv_groups", 0, "pos_conv_groups must be >= 1"),
+        ("depth", 1.5, "depth must be an integer, got 1.5"),
+        ("heads", True, "heads must be an integer, got True"),
+        ("depth", 10**9, "the header config needs"),
+    ], ids=["groups-zero", "depth-float", "heads-bool", "depth-huge"])
+    def test_decode_exits_two_naming_the_file(self, finetuned, tmp_path, capsys, field, value,
+                                              message):
+        bad = _with_header_config(finetuned, tmp_path / "bad.stpl", field, value)
+        wav = tmp_path / "a.wav"
+        write_wav(wav, synth_audio(3))
+        assert run("decode", str(bad), str(wav)) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and message in err
 
 
 class TestSweepCommand:

@@ -155,6 +155,14 @@ class TestGreedyDecode:
         frames = np.array([[0.0, 1.0, 1.0]])
         assert greedy_decode(frames) == [1]
 
+    def test_equals_the_collapse_loop_on_its_argmax(self):
+        rng = Rng(11).fork("decode")
+        for trial in range(200):
+            frames = 1 + rng.integer(12)
+            # few distinct values, so ties and repeated ids are common
+            logits = np.floor(3.0 * rng.uniform(frames * 4)).reshape(frames, 4)
+            assert greedy_decode(logits) == collapse(np.argmax(logits, axis=1))
+
     def test_output_never_contains_blank_or_adjacent_repeats(self):
         rng = Rng(10).fork("decode")
         for trial in range(50):

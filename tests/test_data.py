@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from stochpool.data import SineFeatureDataset, SymbolFeatureDataset, synth_audio
+from stochpool.data import (SineFeatureDataset, SymbolFeatureDataset, read_wav, synth_audio,
+                            write_wav)
 from stochpool.errors import InputError
 
 
@@ -41,3 +42,20 @@ class TestSineFrameRange:
     def test_empty_or_inverted_range_rejected(self, min_frames, max_frames):
         with pytest.raises(InputError, match="min_frames"):
             SineFeatureDataset(1, 8, min_frames=min_frames, max_frames=max_frames)
+
+
+def test_wav_fmt_chunk_size_bit_flips_raise_input_error(tmp_path):
+    """The stdlib reader raises RuntimeError for some bad chunk sizes; every
+    failure of it must surface as an InputError naming the file."""
+    good = tmp_path / "good.wav"
+    write_wav(good, synth_audio(3, seconds=0.1))
+    blob = good.read_bytes()
+    assert blob[12:16] == b"fmt "
+    bad = tmp_path / "bad.wav"
+    for byte in range(16, 20):  # the fmt chunk's size field
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[byte] ^= 1 << bit
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(InputError, match=str(bad)):
+                read_wav(bad)

@@ -11,6 +11,7 @@ from stochpool.encoder import (
     EncoderConfig,
     EncoderModel,
     FeatureExtractorConfig,
+    _parameter_total,
     load_checkpoint,
     parameter_spec,
     preset,
@@ -51,6 +52,17 @@ class TestFeatureExtractorConfig:
     def test_base_channels_below_one_rejected(self):
         with pytest.raises(ConfigError, match="base_channels"):
             EncoderConfig(model_dim=16, depth=1, heads=2, base_channels=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("pos_conv_groups", 0, "pos_conv_groups must be >= 1"),
+        ("depth", 1.5, "depth must be an integer"),
+        ("heads", True, "heads must be an integer"),
+        ("model_dim", "16", "model_dim must be an integer"),
+        ("ffn_dim", -1, "ffn_dim must be >= 0"),
+    ])
+    def test_fields_must_be_ints_in_range(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            EncoderConfig(**{"model_dim": 16, "depth": 1, "heads": 2, field: value})
 
     def test_frames_samples_inverse(self):
         fe = FeatureExtractorConfig(8)
@@ -314,9 +326,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_or_padded_file_rejected(self, tmp_path):
+        # a complete checkpoint of a deliberately small encoder, so the loop stays short
         path = tmp_path / "small.stpl"
-        params = {"head.weight": rand(30, 3, 2), "head.bias": rand(31, 1, 2).ravel()}
-        save_checkpoint(path, preset("tiny"), params, meta={"phase": "finetune"})
+        config = EncoderConfig(model_dim=4, depth=1, heads=1, base_channels=1,
+                               pos_conv_kernel=1, pos_conv_groups=1, max_squeeze=1)
+        params = {**EncoderModel(config, seed=30).params,
+                  "head.weight": rand(30, 4, 2), "head.bias": rand(31, 1, 2).ravel()}
+        save_checkpoint(path, config, params, meta={"phase": "finetune"})
         blob = path.read_bytes()
         assert set(load_checkpoint(path).params) == set(params)
         cut = tmp_path / "cut.stpl"
@@ -327,6 +343,14 @@ class TestCheckpoint:
         cut.write_bytes(blob + b"\x00")
         with pytest.raises(InputError, match="trailing"):
             load_checkpoint(cut)
+
+    def test_parameter_total_matches_spec(self):
+        configs = [preset(name) for name in ("tiny", "small", "B")] + [
+            EncoderConfig(model_dim=12, depth=3, heads=3, ffn_dim=7, base_channels=2,
+                          pos_conv_kernel=5, pos_conv_groups=6, max_squeeze=1)]
+        for config in configs:
+            spec = parameter_spec(config)
+            assert _parameter_total(config) == sum(int(np.prod(s)) for s in spec.values())
 
     def test_given_tensors_kept_when_dtype_matches(self):
         model = EncoderModel(preset("tiny"), seed=6)
