@@ -9,8 +9,8 @@ invariants, a brute-force CTC oracle) and an analytic + measured compute
 cost harness.
 """
 
-from .attention import AttentionParams, PoolFactors, attend, multi_head_pooled
-from .ctc import ctc_loss, greedy_decode, wer
+from .attention import AttentionParams, attend, multi_head_pooled
+from .ctc import ctc_loss, greedy_decode
 from .encoder import (
     Checkpoint,
     EncoderConfig,
@@ -18,7 +18,6 @@ from .encoder import (
     FeatureExtractorConfig,
     load_checkpoint,
     preset,
-    presets,
     save_checkpoint,
 )
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     StochpoolError,
     UsageError,
 )
-from .pooling import downsample, masked_downsample, upsample
+from .pooling import downsample, pool_mask, upsample
 from .stochastic import (
     CompressionConfig,
     FactorSets,
@@ -65,7 +64,6 @@ __all__ = [
     "InfeasibleLabelError",
     "InputError",
     "MacCounter",
-    "PoolFactors",
     "Rng",
     "ShapeError",
     "StochpoolError",
@@ -84,14 +82,12 @@ __all__ = [
     "greedy_decode",
     "load_checkpoint",
     "make_head",
-    "masked_downsample",
     "multi_head_pooled",
     "parse_triplet",
+    "pool_mask",
     "preset",
-    "presets",
     "pretrain_toy",
     "sample_config",
     "save_checkpoint",
     "upsample",
-    "wer",
 ]

@@ -51,12 +51,14 @@ the (H, Tq, Tk) buffer instead of seven.
 
 The pooled form shrinks the computation without touching any parameters.
 ``multi_head_pooled`` mean-pools the layer input before projecting it: by
-``s_q`` for the queries, by ``s_k`` for the keys and values. It attends
+``s_q`` for the queries, by ``s_k`` for the keys and values, with the one
+mean-pool op, ``pooling.downsample``. It attends
 over the pooled rows, applies ``w_o`` to the ceil(T/s_q) output rows and
 only then replicate-upsamples them to T. Pooling (P x) and upsampling act
 on rows, the projections (x W) on columns, so P (x W) = (P x) W and both
 orders agree up to rounding; with a key mask the keys and values come from
-the mean over the valid rows of each block, which is linear in x too.
+the mean over the valid rows of each block (``downsample``'s ``valid``
+argument), which is linear in x too.
 MViT (Fan et al. 2021) pools after projecting; with mean pooling the order
 is free, and pooling first runs every E x E product at the pooled length.
 With both factors at 1 the computation is bit-identical to plain attention.
@@ -70,21 +72,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeError
-from .pooling import downsample, masked_downsample, upsample
+from .pooling import downsample, pool_mask, upsample
 from .tensor import (Tensor, _merge_groups, _split_groups, _state, _wrap, as_tensor, mac_scope,
                      matmul)
-
-
-@dataclass(frozen=True)
-class PoolFactors:
-    """Per-layer pooling factors: s_q for queries, s_k for keys and values."""
-
-    s_q: int = 1
-    s_k: int = 1
-
-    def __post_init__(self):
-        if self.s_q < 1 or self.s_k < 1:
-            raise ConfigError(f"pooling factors must be >= 1, got ({self.s_q}, {self.s_k})")
 
 
 @dataclass(frozen=True)
@@ -220,24 +210,29 @@ def attend(q, k, v, mask=None, heads: int = 1) -> Tensor:
     return _fused_attention(q, k, v, mask, heads)
 
 
-def multi_head_pooled(x, params: AttentionParams, factors: PoolFactors, mask=None) -> Tensor:
-    """Multi-head attention over x, pooled before projecting: queries by
-    s_q, keys and values by s_k (over the rows ``mask`` marks valid, when
-    given); the output is upsampled back to len(x)."""
+def multi_head_pooled(x, params: AttentionParams, pair: tuple, mask=None) -> Tensor:
+    """Multi-head attention over x, pooled before projecting: for the
+    factor pair ``(s_k, s_q)``, the order ``CompressionConfig.per_layer``
+    stores it in, queries by s_q and keys and values by s_k (over the rows
+    ``mask`` marks valid, when given); the output is upsampled back to
+    len(x)."""
     x = x if type(x) is Tensor else as_tensor(x)
     shape = x.data.shape
     width = params.w_q.data.shape[0]
     if len(shape) != 2 or shape[1] != width:
         raise ShapeError(f"input width must be {width}, got shape {shape}")
     n = shape[0]
-    s_q, s_k = factors.s_q, factors.s_k
+    s_k, s_q = pair
+    if s_k < 1 or s_q < 1:
+        raise ConfigError(f"pooling factors (s_k, s_q) must be >= 1, got {pair}")
     x_q = downsample(x, s_q) if s_q > 1 else x
-    if s_k > 1 and mask is not None:
-        x_kv, mask = masked_downsample(x, s_k, mask)
-    elif s_k == s_q:
+    if s_k == s_q and mask is None:
         x_kv = x_q
+    elif s_k > 1:
+        x_kv = downsample(x, s_k, mask)
+        mask = None if mask is None else pool_mask(mask, s_k)
     else:
-        x_kv = downsample(x, s_k) if s_k > 1 else x
+        x_kv = x
     with mac_scope("attn_proj"):
         q = matmul(x_q, params.w_q)
         k = matmul(x_kv, params.w_k)

@@ -27,7 +27,7 @@ import gc
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,8 @@ from .training import apply_head, evaluate
 CSV_HEADER = ("config,preset,frames,macs_total,macs_attn_scores,macs_attn_proj,"
               "macs_ffn,macs_fe,macs_upsample,wall_ms_median,wall_ms_min,"
               "wall_ms_max,symbol_error")
+
+MAC_FIELDS = ("macs_fe", "macs_attn_proj", "macs_attn_scores", "macs_ffn", "macs_upsample")
 
 MIN_TIMER_TICKS = 100
 
@@ -67,8 +69,7 @@ class CostReport:
 
     @property
     def macs_total(self) -> int:
-        return (self.macs_fe + self.macs_attn_proj + self.macs_attn_scores
-                + self.macs_ffn + self.macs_upsample)
+        return sum(getattr(self, name) for name in MAC_FIELDS)
 
     def to_json_dict(self) -> dict:
         """The frozen schema: exactly the ``CSV_HEADER`` columns."""
@@ -147,11 +148,8 @@ def analytic_cost_dataset(config: CompressionConfig, enc_config: EncoderConfig,
     for frames in frame_lengths:
         one = analytic_cost(config, enc_config, frames, preset=preset)
         total.frames += one.frames
-        total.macs_fe += one.macs_fe
-        total.macs_attn_proj += one.macs_attn_proj
-        total.macs_attn_scores += one.macs_attn_scores
-        total.macs_ffn += one.macs_ffn
-        total.macs_upsample += one.macs_upsample
+        for name in MAC_FIELDS:
+            setattr(total, name, getattr(total, name) + getattr(one, name))
     return total
 
 
@@ -160,15 +158,11 @@ def instrumented_macs(model: EncoderModel, config: CompressionConfig, frames: in
     """Run a real forward pass under the MAC counter; the oracle side of
     the analytic model's exactness check."""
     if from_audio:
-        samples = model.fe.samples_for_frames(frames)
-        audio = np.zeros(samples)
-        with count_macs() as counter:
-            feats = model.extract_features(audio)
-            model.forward(feats, config)
-        return counter
-    feats = np.zeros((frames, model.config.model_dim))
+        inputs = np.zeros(model.fe.samples_for_frames(frames))
+    else:
+        inputs = np.zeros((frames, model.config.model_dim))
     with count_macs() as counter:
-        model.forward(feats, config)
+        model.forward(model.extract_features(inputs) if from_audio else inputs, config)
     return counter
 
 
@@ -205,18 +199,9 @@ def _pinned_to_one_worker():
 
     Measurement runs in a single execution context; multi-threaded GEMM
     adds scheduler jitter that can swamp small configuration deltas.
-    Uses threadpoolctl when it is installed, else numpy's bundled OpenBLAS
-    through ctypes, restoring the previous count on exit; a no-op when
-    neither is available.
+    Sets numpy's bundled OpenBLAS through ctypes, restoring the previous
+    count on exit; a no-op when numpy ships no such library.
     """
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        threadpool_limits = None
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            yield
-        return
     blas = _openblas_threads()
     if blas is None:
         yield
@@ -309,11 +294,8 @@ def sweep(model: EncoderModel, configs, dataset, preset: str = "custom",
         report = analytic_cost_dataset(config, model.config, frame_lengths, preset=preset)
         if measure_time:
             timed = measure(model, config, dataset, repeats=repeats, head=head)
-            report.wall_ms_median = timed.wall_ms_median
-            report.wall_ms_min = timed.wall_ms_min
-            report.wall_ms_max = timed.wall_ms_max
-            report.decode_ms_median = timed.decode_ms_median
-            report.timer_flagged = timed.timer_flagged
+            report = replace(timed, preset=preset,
+                             **{name: getattr(report, name) for name in MAC_FIELDS})
         if labeled and head is not None:
             report.symbol_error = evaluate(model, head, config, dataset).symbol_error
         reports.append(report)

@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from .errors import InfeasibleLabelError, InputError, ShapeError
+from .errors import InfeasibleLabelError, ShapeError
 from .tensor import Tensor, _wrap, as_tensor
 
 BLANK = 0
@@ -179,10 +179,3 @@ def edit_distance(hyp, ref) -> int:
         prev = cur
     return prev[-1]
 
-
-def wer(hyp, ref) -> float:
-    """Edit distance normalized by reference length."""
-    ref = list(ref)
-    if not ref:
-        raise InputError("wer is undefined for an empty reference")
-    return edit_distance(hyp, ref) / len(ref)

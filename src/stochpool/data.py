@@ -181,17 +181,6 @@ def read_wav(path) -> np.ndarray:
     return samples / 32768.0
 
 
-def write_wav(path, samples: np.ndarray):
-    """Write float samples in [-1, 1] as PCM 16-bit mono 16 kHz."""
-    clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    pcm = (clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(SAMPLE_RATE)
-        fh.writeframes(pcm.tobytes())
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str

@@ -7,10 +7,12 @@ Pipeline for one forward pass at compression (s_f, per-layer (s_k, s_q)):
     features --mean-pool s_f--> positional conv --> transformer layers
              --> shared linear head --replicate-upsample to input length-->
 
-The head runs on the T' = ceil(T/s_f) squeezed rows, which equals running
-it after the row-copying upsample. A ``valid`` mask zeroes padded frames
-(s_f = 1) or leaves them out of each block's mean (s_f > 1) before the
-positional conv, so their content never reaches real frames.
+Both mean pools, the squeeze by s_f and each layer's query and key-value
+pooling, are ``pooling.downsample``. The head runs on the T' = ceil(T/s_f)
+squeezed rows, which equals running it after the row-copying upsample. A
+``valid`` mask goes through the same op: it zeroes padded frames (s_f = 1)
+or leaves them out of each block's mean (s_f > 1) before the positional
+conv, so their content never reaches real frames.
 The squeeze path is skipped entirely at s_f = 1, so a (1,1,1) pass is a
 plain post-LN transformer encoder. The upsample head is the only
 parameter the squeeze mechanism adds, and it exists once for all squeeze
@@ -28,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attention import AttentionParams, PoolFactors, multi_head_pooled
+from .attention import AttentionParams, multi_head_pooled
 from .errors import ConfigError, InputError, ShapeError
-from .pooling import downsample, masked_downsample, upsample
+from .pooling import downsample, pool_mask, upsample
 from .stochastic import CompressionConfig, Rng
 from .tensor import (
     Tensor,
@@ -82,14 +84,6 @@ class FeatureExtractorConfig:
             rf += (k - 1) * hop
             hop *= s
         return rf
-
-    def frames_for_samples(self, n: int) -> int:
-        length = int(n)
-        for k, s, _ in self.layers:
-            if length < k:
-                return 0
-            length = (length - k) // s + 1
-        return length
 
     def samples_for_frames(self, frames: int) -> int:
         """Shortest audio length yielding exactly ``frames`` output frames."""
@@ -145,11 +139,6 @@ _PRESETS = {
     "tiny": dict(model_dim=64, depth=2, heads=4, base_channels=8),
     "small": dict(model_dim=128, depth=4, heads=4, base_channels=16),
 }
-
-
-def presets() -> dict:
-    """Named encoder configurations."""
-    return {name: EncoderConfig(**kw) for name, kw in _PRESETS.items()}
 
 
 def preset(name: str) -> EncoderConfig:
@@ -247,8 +236,7 @@ class EncoderModel:
     caller's tensors; other values are wrapped, cast to the dtype.
 
     The forward paths look no parameter up by name: each layer's tensors
-    are gathered once here, and each (s_k, s_q) pair's ``PoolFactors`` is
-    made on first use and kept with the model.
+    are gathered once here.
     """
 
     def __init__(self, config: EncoderConfig, seed: int = 0, dtype=np.float64, params=None):
@@ -293,10 +281,6 @@ class EncoderModel:
                           for i, (_, stride, _) in enumerate(self.fe.layers)]
         pad = (config.pos_conv_kernel - 1) // 2
         self._pos_pad = as_tensor(np.zeros((pad, config.model_dim), dtype=self.dtype))
-        self._pool_factors = {}  # (s_k, s_q) -> PoolFactors
-
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
 
     def astype(self, dtype) -> "EncoderModel":
         return EncoderModel(self.config, dtype=dtype,
@@ -355,20 +339,14 @@ class EncoderModel:
             if valid.shape != (t_in,):
                 raise ShapeError(f"valid mask must have shape ({t_in},), got {valid.shape}")
 
-        v = valid
-        if v is not None:  # also at s_f = 1, where it zeroes the padded frames
-            x, v = masked_downsample(x, config.s_f, v)
-        elif config.s_f > 1:
-            x = downsample(x, config.s_f)
+        if config.s_f > 1 or valid is not None:  # a mask zeroes padded frames at s_f = 1
+            x = downsample(x, config.s_f, valid)
+            valid = None if valid is None else pool_mask(valid, config.s_f)
         x = self._positional(x)
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
-        pool_factors = self._pool_factors
         for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):
-            factors = pool_factors.get(pair)
-            if factors is None:
-                factors = pool_factors[pair] = PoolFactors(s_k=pair[0], s_q=pair[1])
-            attn_out = multi_head_pooled(x, attn, factors, v)
+            attn_out = multi_head_pooled(x, attn, pair, valid)
             x = layer_norm(add(x, attn_out), layer.norm1_gamma, layer.norm1_beta)
             with mac_scope("ffn"):
                 h = gelu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
@@ -498,7 +476,10 @@ def load_checkpoint(path) -> Checkpoint:
         shape = unpack(f"<{ndim}I", f"shape of {name!r}")
         size = math.prod(shape)
         raw = take(4 * size, f"values of {name!r}")
-        params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        try:
+            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:  # numpy caps the rank at 64
+            raise corrupt(f"shape of {name!r}", exc) from None
     if offset != len(view):
         raise InputError(f"{path}: corrupt checkpoint: {len(view) - offset} trailing bytes "
                          f"after offset {offset}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention
-from .attention import AttentionParams, PoolFactors, _shift_free, attend, multi_head_pooled
+from .attention import AttentionParams, _shift_free, attend, multi_head_pooled
 from .ctc import ctc_loss, ctc_loss_bruteforce, greedy_decode
 from .data import synth_audio
 from .encoder import EncoderModel, preset
@@ -247,7 +247,7 @@ def _check_pooled_degenerate(seed):
     params = _random_attention_params(rng, 4, 2)
     plain = matmul(attend(matmul(x, params.w_q), matmul(x, params.w_k), matmul(x, params.w_v),
                           heads=2), params.w_o).data
-    pooled = multi_head_pooled(x, params, PoolFactors(1, 1)).data
+    pooled = multi_head_pooled(x, params, (1, 1)).data
     diff = np.abs(plain - pooled).max()
     assert diff == 0.0, f"pooled (1,1) not bit-identical, diff {diff:.3e}"
 
@@ -257,7 +257,7 @@ def _check_pooled_composition(seed):
     rng = Rng(seed).fork("pooled-2")
     x = Tensor(_rand(rng, 8, 4))
     params = _random_attention_params(rng, 4, 2)
-    got = multi_head_pooled(x, params, PoolFactors(s_q=2, s_k=2)).data
+    got = multi_head_pooled(x, params, (2, 2)).data
     q, k, v = (downsample(matmul(x, w), 2) for w in (params.w_q, params.w_k, params.w_v))
     composed = matmul(upsample(attend(q, k, v, heads=2), 2, truncate_to=8), params.w_o).data
     diff = np.abs(got - composed).max()
@@ -292,7 +292,7 @@ def _check_multi_head_gradients(seed):
             for s_k in (1, 2):
                 def fn(xt, wq, wk, wv, wo):
                     params = AttentionParams(w_q=wq, w_k=wk, w_v=wv, w_o=wo, heads=2)
-                    out = multi_head_pooled(xt, params, PoolFactors(s_q=s_q, s_k=s_k), mask)
+                    out = multi_head_pooled(xt, params, (s_k, s_q), mask)
                     return sum_all(mul(out, target))
 
                 base = _random_attention_params(rng, e, 2)

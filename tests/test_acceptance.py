@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 import test_encoder
-from stochpool.attention import AttentionParams, PoolFactors, attend, multi_head_pooled
+from stochpool.attention import AttentionParams, attend, multi_head_pooled
 from stochpool.cost_model import analytic_cost, instrumented_macs, measure
 from stochpool.ctc import collapse, ctc_loss, ctc_loss_bruteforce, greedy_decode, min_frames
 from stochpool.data import SineFeatureDataset, SymbolFeatureDataset
 from stochpool.encoder import EncoderModel, preset
 from stochpool.errors import InfeasibleLabelError
 from stochpool.gradcheck import check_gradients
-from stochpool.pooling import downsample, masked_downsample, upsample
+from stochpool.pooling import downsample, upsample
 from stochpool.stochastic import FactorSets, Rng, fixed_config, sample_config
 from stochpool.tensor import (
     Tensor,
@@ -139,7 +139,7 @@ def test_criterion_1_degenerate_equivalence():
         w_q, w_k, w_v, w_o = (Tensor(w) for w in rand(3 * trial + 1, 4, 4, 4) / 2.0)
         params = AttentionParams(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, heads=1)
         plain = matmul(attend(matmul(x, w_q), matmul(x, w_k), matmul(x, w_v)), w_o).data
-        pooled = multi_head_pooled(x, params, PoolFactors(1, 1)).data
+        pooled = multi_head_pooled(x, params, (1, 1)).data
         worst_attend = max(worst_attend, np.abs(plain - pooled).max())
     assert worst_attend <= 1e-14
 
@@ -208,20 +208,19 @@ def test_criterion_3_gradient_suite():
     ]
     valid = np.array([True, True, False, True, True, False, True, True])
     op_cases.append(
-        ("masked_downsample",
-         lambda a: sum_all(mul(masked_downsample(a, 2, valid)[0],
-                               masked_downsample(a, 2, valid)[0])),
+        ("downsample_masked",
+         lambda a: sum_all(mul(downsample(a, 2, valid), downsample(a, 2, valid))),
          [rand(533, 8, 3)]))
     tgt_attend = Tensor(rand(534, 6, 4))
 
-    def pooled_loss(x, w_q, w_k, w_v, w_o, factors):
+    def pooled_loss(x, w_q, w_k, w_v, w_o, pair):
         params = AttentionParams(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, heads=1)
-        return sum_all(mul(multi_head_pooled(x, params, factors), tgt_attend))
+        return sum_all(mul(multi_head_pooled(x, params, pair), tgt_attend))
 
     for s_q, s_k in itertools.product((1, 2), repeat=2):
         op_cases.append(
             (f"multi_head_pooled_{s_q}{s_k}",
-             lambda *a, f=PoolFactors(s_q=s_q, s_k=s_k): pooled_loss(*a, f),
+             lambda *a, f=(s_k, s_q): pooled_loss(*a, f),
              [rand(535, 6, 4)] + [rand(seed, 4, 4) / 2.0 for seed in (536, 537, 538, 539)]))
     worst = 0.0
     for name, fn, arrays in op_cases:

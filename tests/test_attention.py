@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from stochpool import verify
-from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, AttentionParams, PoolFactors, _shift_free,
-                                 attend, multi_head_pooled)
+from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, AttentionParams, _shift_free, attend,
+                                 multi_head_pooled)
 from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
-from stochpool.pooling import downsample, masked_downsample, upsample
+from stochpool.pooling import downsample, pool_mask, upsample
 from stochpool.stochastic import Rng
 from stochpool.tensor import Tape, Tensor, backward, matmul, mul, sum_all
 
@@ -85,7 +85,7 @@ class TestPooledAttend:
     def test_two_rows_fully_pooled(self):
         x = rand(25, 2, 4)
         params = params_for(26, 4, 2)
-        out = multi_head_pooled(Tensor(x), params, PoolFactors(s_q=2, s_k=2)).data
+        out = multi_head_pooled(Tensor(x), params, (2, 2)).data
         # single pooled key -> its value row, projected by w_o and replicated
         want = x.mean(axis=0) @ params.w_v.data @ params.w_o.data
         assert np.abs(out - want).max() < 1e-12
@@ -97,42 +97,42 @@ class TestPooledAttend:
 
     def test_query_pool_blockwise_constant(self):
         x = rand(31, 8, 4)
-        out = multi_head_pooled(Tensor(x), params_for(32, 4, 2), PoolFactors(s_q=2, s_k=1)).data
+        out = multi_head_pooled(Tensor(x), params_for(32, 4, 2), (1, 2)).data
         for i in range(0, 8, 2):
             assert np.array_equal(out[i], out[i + 1])
 
     def test_factor_validation(self):
-        with pytest.raises(ConfigError):
-            PoolFactors(s_q=0, s_k=1)
+        for pair in ((1, 0), (0, 1)):  # (s_k, s_q)
+            with pytest.raises(ConfigError):
+                multi_head_pooled(Tensor(rand(33, 4, 4)), params_for(32, 4, 2), pair)
 
 
-def project_then_pool(x, params, factors, mask=None):
+def project_then_pool(x, params, pair, mask=None):
     """The reference order: project at full length, pool the projections,
     attend, upsample, then apply w_o at full length."""
     n = x.shape[0]
+    s_k, s_q = pair
     q, k, v = (matmul(x, w) for w in (params.w_q, params.w_k, params.w_v))
-    if factors.s_q > 1:
-        q = downsample(q, factors.s_q)
-    if factors.s_k > 1:
+    if s_q > 1:
+        q = downsample(q, s_q)
+    if s_k > 1:
+        k, v = downsample(k, s_k, mask), downsample(v, s_k, mask)
         if mask is not None:
-            (k, pooled_mask), (v, _) = (masked_downsample(a, factors.s_k, mask) for a in (k, v))
-            mask = pooled_mask
-        else:
-            k, v = downsample(k, factors.s_k), downsample(v, factors.s_k)
+            mask = pool_mask(mask, s_k)
     out = attend(q, k, v, mask, params.heads)
-    if factors.s_q > 1:
-        out = upsample(out, factors.s_q, truncate_to=n)
+    if s_q > 1:
+        out = upsample(out, s_q, truncate_to=n)
     return matmul(out, params.w_o)
 
 
-def output_and_gradients(fn, x, params, factors, mask, target):
+def output_and_gradients(fn, x, params, pair, mask, target):
     """fn's output and the gradients of <fn(x), target> for x and the four weights."""
     inputs = [Tensor(x)] + [Tensor(getattr(params, w).data)
                             for w in ("w_q", "w_k", "w_v", "w_o")]
     xt, wq, wk, wv, wo = inputs
     p = AttentionParams(w_q=wq, w_k=wk, w_v=wv, w_o=wo, heads=params.heads)
     with Tape():
-        out = fn(xt, p, factors, mask)
+        out = fn(xt, p, pair, mask)
         loss = sum_all(mul(out, Tensor(target)))
     grads = backward(loss)
     return [out.data] + [grads[t] for t in inputs]
@@ -152,9 +152,8 @@ class TestPoolOrder:
         target = rand(72 + n, n, e)
         # rows 2 and 3 form an empty pooled block at s_k = 2; rows 4 and 5 a half-valid one
         mask = np.array([True, True, False, False, True, False, True, True][:n]) if masked else None
-        factors = PoolFactors(s_q=s_q, s_k=s_k)
-        got = output_and_gradients(multi_head_pooled, x, params, factors, mask, target)
-        want = output_and_gradients(project_then_pool, x, params, factors, mask, target)
+        got = output_and_gradients(multi_head_pooled, x, params, (s_k, s_q), mask, target)
+        want = output_and_gradients(project_then_pool, x, params, (s_k, s_q), mask, target)
         for name, a, b in zip(("out", "x", "w_q", "w_k", "w_v", "w_o"), got, want):
             if (s_q, s_k) == (1, 1):
                 assert np.array_equal(a, b), name
@@ -169,7 +168,7 @@ class TestMultiHeadPooled:
         for e, heads, n in ((8, 2, 6), (24, 4, 6)):
             x = rand(34, n, e)
             params = params_for(35, e, heads)
-            got = multi_head_pooled(Tensor(x), params, PoolFactors(1, 1)).data
+            got = multi_head_pooled(Tensor(x), params, (1, 1)).data
             # independent composition: project, split heads, attend, concat, project
             xt = Tensor(x)
             q = matmul(xt, params.w_q)
@@ -190,7 +189,7 @@ class TestMultiHeadPooled:
             x = Tensor(rand(37 + n, n, e))
             for s_q in (1, 2, 3):
                 for s_k in (1, 2, 3):
-                    out = multi_head_pooled(x, params, PoolFactors(s_q=s_q, s_k=s_k))
+                    out = multi_head_pooled(x, params, (s_k, s_q))
                     assert out.shape == (n, e)
                     assert np.all(np.isfinite(out.data))
 
@@ -202,7 +201,7 @@ class TestMultiHeadPooled:
     def test_width_mismatch_rejected(self):
         params = params_for(51, 8, 2)
         with pytest.raises(ShapeError):
-            multi_head_pooled(Tensor(rand(52, 4, 6)), params, PoolFactors(1, 1))
+            multi_head_pooled(Tensor(rand(52, 4, 6)), params, (1, 1))
 
     def test_heads_must_divide_width(self):
         r = Rng(53)
@@ -222,7 +221,7 @@ class TestMultiHeadPooled:
                 for s_k in (1, 2):
                     def fn(xt, wq, wk, wv, wo):
                         p = AttentionParams(w_q=wq, w_k=wk, w_v=wv, w_o=wo, heads=2)
-                        out = multi_head_pooled(xt, p, PoolFactors(s_q=s_q, s_k=s_k), mask)
+                        out = multi_head_pooled(xt, p, (s_k, s_q), mask)
                         return sum_all(mul(out, tgt))
 
                     check_gradients(fn, [x, base.w_q.data, base.w_k.data,
@@ -233,11 +232,11 @@ class TestMultiHeadPooled:
         e = 8
         x = Tensor(rand(59, 7, e))
         mask = np.array([True, True, False, False, True, True, True])
-        for factors in (PoolFactors(1, 1), PoolFactors(s_q=2, s_k=2)):
+        for pair in ((1, 1), (2, 2)):
             counts = []
             for heads in (1, 4):
                 with Tape() as tape:
-                    multi_head_pooled(x, params_for(60, e, heads), factors, mask)
+                    multi_head_pooled(x, params_for(60, e, heads), pair, mask)
                 counts.append(len(tape._records))
             assert counts[0] == counts[1], f"records per heads (1, 4): {counts}"
 
@@ -247,7 +246,7 @@ class TestMultiHeadPooled:
         x = Tensor(rand(58, 7, e))
         mask = np.array([True, True, True, True, False, False, False])
         for s_k in (1, 2):
-            out = multi_head_pooled(x, params, PoolFactors(s_q=2, s_k=s_k), mask)
+            out = multi_head_pooled(x, params, (s_k, 2), mask)
             assert out.shape == (7, e)
             assert np.all(np.isfinite(out.data))
 

@@ -13,9 +13,10 @@ import pytest
 from stochpool import pooling
 from stochpool.cli import _build_parser, _load_run_config, main
 from stochpool.cost_model import CSV_HEADER
-from stochpool.data import synth_audio, write_wav
+from stochpool.data import synth_audio
 from stochpool.encoder import load_checkpoint, save_checkpoint
 from stochpool.runconfig import RunConfig, load_config, parse_config_text
+from wavfile import write_wav
 
 
 def run(*argv):

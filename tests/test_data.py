@@ -5,9 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from stochpool.data import (SineFeatureDataset, SymbolFeatureDataset, read_wav, synth_audio,
-                            write_wav)
+from stochpool.data import SineFeatureDataset, SymbolFeatureDataset, read_wav, synth_audio
 from stochpool.errors import InputError
+from wavfile import write_wav
 
 
 def digest(arrays) -> str:

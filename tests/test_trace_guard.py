@@ -23,7 +23,7 @@ OPS = (
     (tensor, ("matmul", "add", "mul", "gelu", "layer_norm", "concat", "conv1d", "sum_all",
               "mac_scope")),
     (attention, ("attend", "multi_head_pooled")),
-    (pooling, ("downsample", "upsample", "masked_downsample")),
+    (pooling, ("downsample", "upsample")),
     (ctc, ("ctc_loss", "greedy_decode")),
 )
 
