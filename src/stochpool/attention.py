@@ -2,14 +2,20 @@
 
 Every attention call runs one tape op over (H, T, d) views of the
 projected queries, keys and values. The (T, E) queries are scaled by
-c = 1/sqrt(d) first, so a batched matmul gives the scaled logits in one
-(H, Tq, Tk) buffer; the key mask, exp and the row sums then work in place
-in that buffer, and a batched matmul with the values follows. The
-(H, Tq, d_v) product is divided by the row sums of the weights; the
-(H, Tq, Tk) weights themselves are normalised only when a tape runs the
-backward, which is written by hand. The op reports its
-multiply-accumulates to the active counter like ``matmul`` does.
-Single-head attention is the H = 1 case.
+c = 1/sqrt(d) first, so a batched matmul gives the scaled logits. The op
+walks the queries in blocks of rows whose (H, rows, Tk) logits fit
+``_LOGITS_BLOCK_BYTES`` (4 MiB). In each block the key mask (one additive
+row built once per call), exp and the row sums work in place in the
+block's weights buffer, and a batched matmul with the values writes the
+block's rows of the (H, Tq, d_v) output, which are then divided by their
+row sums. When a tape records the op, the blocks are rows of one
+(H, Tq, Tk) buffer, because the backward, written by hand, normalises
+those weights and reads them whole. Otherwise every block reuses one
+block-sized scratch buffer, so a forward without a tape never holds the
+whole logits matrix. When all queries fit one block (in float32 at
+H = 4, whenever Tq Tk <= 2^18) that block is the whole buffer. The op
+reports its multiply-accumulates to the active counter like ``matmul``
+does. Single-head attention is the H = 1 case.
 
 Softmax is shift-invariant, so the usual subtraction of each row's max
 logit only guards the range of exp. The op skips it when a bound proves
@@ -46,8 +52,9 @@ Otherwise (a larger bound, values outside the window or non-finite
 inputs) each row is shifted by its max as before. Either way the weights
 differ only by a per-row factor that the normalisation divides out, and
 the backward normalises the saved weights by the row sums, so both paths
-give the same op up to rounding. The common case makes four passes over
-the (H, Tq, Tk) buffer instead of seven.
+give the same op up to rounding. The decision is made once per call, for
+every block alike. The common case makes four passes over each block's
+weights instead of seven.
 
 The pooled form shrinks the computation without touching any parameters.
 ``multi_head_pooled`` mean-pools the layer input before projecting it: by
@@ -136,6 +143,17 @@ def _shift_free(qs: np.ndarray, k: np.ndarray, v: np.ndarray, tk: int) -> bool:
     return q2 * k2 < limit * limit and tk * v_lo < v_max and tk * v_max <= v_hi
 
 
+# Bytes of logits one query block holds: a forward without a tape reuses one
+# block of this size instead of the whole (H, Tq, Tk) buffer.
+_LOGITS_BLOCK_BYTES = 4 << 20
+
+
+def _query_blocks(tq: int, tk: int, heads: int, itemsize: int) -> range:
+    """First query rows of the blocks whose (heads, rows, tk) logits fit the
+    budget; the range's step is the rows per block, at least one."""
+    return range(0, tq, max(1, _LOGITS_BLOCK_BYTES // (heads * tk * itemsize)))
+
+
 def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
     """softmax(q k^T / sqrt(d) + key mask) v for each head, as one tape op."""
     qd, kd, vd = q.data, k.data, v.data
@@ -151,16 +169,27 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
     qh = _split_groups(qs, heads)
     kh = _split_groups(kd, heads)
     vh = _split_groups(vd, heads)
-    # the one (H, Tq, Tk) buffer: logits, then unnormalised weights, in place
-    p = qh @ kh.transpose(0, 2, 1)
-    if masked:
-        p += np.where(mask, 0.0, -np.inf).astype(p.dtype)
-    if shift:  # only when the bound cannot rule out overflow or underflow
-        p -= np.maximum.reduce(p, axis=2, keepdims=True)
-    np.exp(p, out=p)
-    row_sums = np.add.reduce(p, axis=2, keepdims=True)
-    oh = p @ vh
-    oh /= row_sums  # normalise the (H, Tq, d_v) output, not the weights
+    p_type = np.result_type(qs, kd)
+    bias = np.where(mask, 0.0, -np.inf).astype(p_type) if masked else None
+    blocks = _query_blocks(tq, tk, heads, p_type.itemsize)
+    # the backward reads every weight, so a recorded op keeps its blocks as
+    # rows of one (H, Tq, Tk) buffer; otherwise they share one block's scratch
+    recorded = _state.tape is not None and any(t.grad_id is not None for t in (q, k, v))
+    p = np.empty((heads, tq if recorded else min(blocks.step, tq), tk), p_type)
+    oh = np.empty((heads, tq, vd.shape[1] // heads), np.result_type(p_type, vd))
+    row_sums = np.empty((heads, tq, 1), p_type)
+    for a in blocks:
+        rows = slice(a, a + blocks.step)  # the last block's slice stops at tq
+        pb = p[:, rows] if recorded else p[:, :tq - a]  # logits, then weights, in place
+        np.matmul(qh[:, rows], kh.transpose(0, 2, 1), out=pb)
+        if bias is not None:
+            pb += bias
+        if shift:  # only when the bound cannot rule out overflow or underflow
+            pb -= np.maximum.reduce(pb, axis=2, keepdims=True)
+        np.exp(pb, out=pb)
+        sums = np.add.reduce(pb, axis=2, keepdims=True, out=row_sums[:, rows])
+        ob = np.matmul(pb, vh, out=oh[:, rows])
+        ob /= sums  # normalise the (H, rows, d_v) output, not the weights
 
     def bwd(g):
         np.divide(p, row_sums, out=p)  # the weights are needed only here

@@ -59,7 +59,7 @@ def ctc_loss(logits, labels) -> Tensor:
             f"labels of collapsed length {len(labels)} need at least {needed} frames, got {t_len}"
         )
 
-    lp = _log_softmax(data.astype(np.float64))
+    lp = _log_softmax(data.astype(np.float64, copy=False))
     z = np.zeros(2 * len(labels) + 1, dtype=np.int64)
     z[1::2] = labels
     s_len = len(z)

@@ -336,18 +336,23 @@ def _check_encoder_determinism(seed):
 
 
 def _check_float32_serving(seed):
-    """A float32 audio forward stays within 1e-3 (relative) of float64.
+    """A float32 forward stays within 1e-3 (relative) of float64.
 
     Runs the small preset on a 1 s clip at every standard config, with and
     without a padding mask, once as initialised and once with layer 0's
     w_q scaled by 32. The scaled layer's logits exceed float32's exp range
     (about 88.7), so it must take the max shift while the other layers
-    skip it; both sides of the decision are asserted to have run.
+    skip it; both sides of the decision are asserted to have run. A
+    600-frame feature input at 1-1-1, with and without a mask, spans more
+    than one float32 query block of the attention op, which is asserted
+    too.
     """
     base = EncoderModel(preset("small"), seed=seed)
     audio = synth_audio(seed, seconds=1.0)
     decisions = []
+    block_counts = []
     real_shift_free = attention._shift_free
+    real_query_blocks = attention._query_blocks
 
     def spy(qs, k, v, tk):
         safe = real_shift_free(qs, k, v, tk)
@@ -355,7 +360,23 @@ def _check_float32_serving(seed):
             decisions.append(safe)
         return safe
 
+    def block_spy(tq, tk, heads, itemsize):
+        blocks = real_query_blocks(tq, tk, heads, itemsize)
+        if itemsize == 4:
+            block_counts.append(len(blocks))
+        return blocks
+
+    def compare(model64, model32, feats64, feats32, triplet, valid, what):
+        config = fixed_config(*triplet, base.config.depth)
+        want = model64.forward(feats64, config, valid).data
+        got = model32.forward(feats32, config, valid).data
+        err = float(np.abs(got - want).max() / np.abs(want).max())
+        assert err <= 1e-3, (  # NaN fails too
+            f"float32 deviates by {err:.3e} relative at {triplet}, {what}, "
+            f"mask {valid is not None}")
+
     attention._shift_free = spy
+    attention._query_blocks = block_spy
     try:
         for w_q_scale in (1.0, 32.0):
             params = {n: t.data * w_q_scale if n == "layer0.attn.w_q" else t.data
@@ -367,19 +388,24 @@ def _check_float32_serving(seed):
             t = feats64.shape[0]
             padded = np.arange(t) < t - t // 4
             for triplet in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)):
-                config = fixed_config(*triplet, base.config.depth)
                 for valid in (None, padded):
-                    want = model64.forward(feats64, config, valid).data
-                    got = model32.forward(feats32, config, valid).data
-                    err = float(np.abs(got - want).max() / np.abs(want).max())
-                    assert err <= 1e-3, (  # NaN fails too
-                        f"float32 deviates by {err:.3e} relative at {triplet}, "
-                        f"w_q x{w_q_scale:g}, mask {valid is not None}")
+                    compare(model64, model32, feats64, feats32, triplet, valid,
+                            f"w_q x{w_q_scale:g}")
+        t = 600
+        feats = _rand(Rng(seed).fork("long_features"), t, base.config.model_dim)
+        base32 = base.astype(np.float32)
+        block_counts.clear()
+        for valid in (None, np.arange(t) < t - t // 4):
+            compare(base, base32, feats, feats, (1, 1, 1), valid, f"{t} feature frames")
     finally:
         attention._shift_free = real_shift_free
+        attention._query_blocks = real_query_blocks
     assert any(decisions) and not all(decisions), (
         f"{sum(decisions)} of {len(decisions)} float32 calls skipped the shift; "
         "both sides must run")
+    assert max(block_counts) > 1, (
+        f"the {t}-frame float32 forward ran {max(block_counts)} query block(s) per call; "
+        "it must span more than one")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Plain and pooled attention: oracles, degenerate cases, gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochpool import verify
-from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, AttentionParams, _shift_free, attend,
-                                 multi_head_pooled)
+from stochpool import attention, verify
+from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, AttentionParams, _query_blocks,
+                                 _shift_free, attend, multi_head_pooled)
 from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.pooling import downsample, pool_mask, upsample
@@ -75,6 +76,94 @@ class TestAttend:
         k2[4], v2[4] = rand(20, 4), rand(21, 4)
         again = attend(Tensor(q), Tensor(k2), Tensor(v2), mask).data
         assert np.abs(base - again).max() < 1e-12
+
+
+def whole_buffer_attention(q, k, v, mask, heads, g):
+    """The op with all logits in one (H, Tq, Tk) buffer, as it ran before its
+    queries were blocked: the output and the q, k, v gradients of <out, g>."""
+    c = 1.0 / math.sqrt(q.shape[1] // heads)
+    qs = q * c
+    masked = mask is not None and not mask.all()
+    shift = not _shift_free(qs, k, v[mask] if masked else v, len(k))
+    qh, kh, vh, gh = (a.reshape(len(a), heads, -1).transpose(1, 0, 2) for a in (qs, k, v, g))
+    p = qh @ kh.transpose(0, 2, 1)
+    if masked:
+        p += np.where(mask, 0.0, -np.inf).astype(p.dtype)
+    if shift:
+        p -= np.maximum.reduce(p, axis=2, keepdims=True)
+    np.exp(p, out=p)
+    row_sums = np.add.reduce(p, axis=2, keepdims=True)
+    oh = p @ vh
+    oh /= row_sums
+    p /= row_sums
+    dv = p.transpose(0, 2, 1) @ gh
+    ds = gh @ vh.transpose(0, 2, 1)
+    ds -= np.add.reduce(gh * oh, axis=2, keepdims=True)
+    ds *= p
+    dq = ds @ kh
+    dq *= c
+    return [a.transpose(1, 0, 2).reshape(len(q), -1)
+            for a in (oh, dq, ds.transpose(0, 2, 1) @ qh, dv)]
+
+
+class TestQueryBlocks:
+    """The op walks its queries in blocks; every block count gives the
+    whole-buffer result, and a single block gives it bit for bit."""
+
+    T = 37
+    ROWS = 10  # blocks of 10, 10, 10 and 7 query rows
+
+    def run_op(self, q, k, v, mask, heads, g):
+        """Output and q, k, v gradients under a tape, plus the no-tape output."""
+        inputs = [Tensor(a) for a in (q, k, v)]
+        with Tape():
+            out = attend(*inputs, mask, heads)
+            loss = sum_all(mul(out, Tensor(g)))
+        grads = backward(loss)
+        return [out.data] + [grads[t] for t in inputs], attend(q, k, v, mask, heads).data
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+    @pytest.mark.parametrize("shift", [False, True], ids=["shift-free", "shifted"])
+    def test_blocks_match_the_whole_buffer(self, monkeypatch, heads, masked, shift):
+        n, e = self.T, 16
+        q, k, v, g = rand(80, n, e), rand(81, n, e), rand(82, n, e), rand(83, n, e)
+        if shift:
+            # head 0's logits carry a row offset of 1000 or more, past exp's float64
+            # range: B passes the limit L = 300 and only the max shift keeps them finite
+            q[:, 0], k[:, 0] = 400.0, 10.0
+        mask = np.arange(n) % 5 != 2 if masked else None
+        assert decision(q, k, v, mask, heads) is not shift
+        want = whole_buffer_attention(q, k, v, mask, heads, g)
+
+        assert len(_query_blocks(n, n, heads, 8)) == 1
+        taped, untaped = self.run_op(q, k, v, mask, heads, g)
+        for name, a, b in zip(("out", "q", "k", "v"), taped, want):
+            assert np.array_equal(a, b), name
+        assert np.array_equal(untaped, want[0])
+
+        monkeypatch.setattr(attention, "_LOGITS_BLOCK_BYTES", self.ROWS * heads * n * 8)
+        blocks = _query_blocks(n, n, heads, 8)
+        assert blocks.step == self.ROWS and len(blocks) >= 3 and n % blocks.step
+        taped, untaped = self.run_op(q, k, v, mask, heads, g)
+        for name, a, b in zip(("out", "q", "k", "v", "untaped out"), taped + [untaped],
+                              want + want[:1]):
+            err = np.abs(a - b).max() / np.abs(b).max()
+            assert err <= 1e-12, f"{name}: relative error {err:.3g}"
+
+    def test_no_tape_forward_holds_one_block(self):
+        # the whole float32 (4, 2048, 2048) logits buffer would take 64 MiB
+        n, e = 2048, 64
+        rng = np.random.default_rng(84)
+        q, k, v = (rng.standard_normal((n, e), dtype=np.float32) for _ in range(3))
+        tracemalloc.start()
+        try:
+            out = attend(q, k, v, heads=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, e) and np.all(np.isfinite(out.data))
+        assert peak < 16 << 20, f"no-tape attention peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestPooledAttend:
