@@ -15,7 +15,8 @@ block-sized scratch buffer, so a forward without a tape never holds the
 whole logits matrix. When all queries fit one block (in float32 at
 H = 4, whenever Tq Tk <= 2^18) that block is the whole buffer. The op
 reports its multiply-accumulates to the active counter like ``matmul``
-does. Single-head attention is the H = 1 case.
+does, along with its call, whether it skipped the max shift below and
+its query block count. Single-head attention is the H = 1 case.
 
 Softmax is shift-invariant, so the usual subtraction of each row's max
 logit only guards the range of exp. The op skips it when a bound proves
@@ -107,10 +108,6 @@ class AttentionParams:
         if self.heads < 1 or e % self.heads:
             raise ConfigError(f"model width {e} must be divisible by heads={self.heads}")
 
-    @property
-    def model_dim(self) -> int:
-        return self.w_q.shape[0]
-
 
 # Largest logit bound B for which exp runs without the row-max shift, and
 # the window that the largest |value| times the key count must lie in; the
@@ -159,9 +156,6 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
     qd, kd, vd = q.data, k.data, v.data
     tq, tk = qd.shape[0], kd.shape[0]
     d = qd.shape[1] // heads
-    macs = _state.macs
-    if macs is not None:
-        macs.add(heads * tq * tk * (d + vd.shape[1] // heads))
     c = 1.0 / math.sqrt(d)
     qs = qd * c  # scale the (Tq, E) queries, not the (H, Tq, Tk) logits
     masked = mask is not None and not mask.all()
@@ -172,6 +166,12 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
     p_type = np.result_type(qs, kd)
     bias = np.where(mask, 0.0, -np.inf).astype(p_type) if masked else None
     blocks = _query_blocks(tq, tk, heads, p_type.itemsize)
+    macs = _state.macs
+    if macs is not None:
+        macs.add(heads * tq * tk * (d + vd.shape[1] // heads))
+        macs.attention_calls += 1
+        macs.shift_skips += not shift
+        macs.query_blocks += len(blocks)
     # the backward reads every weight, so a recorded op keeps its blocks as
     # rows of one (H, Tq, Tk) buffer; otherwise they share one block's scratch
     recorded = _state.tape is not None and any(t.grad_id is not None for t in (q, k, v))

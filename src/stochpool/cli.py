@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 verification or metric failure, 2 usage/config
 error. Every command honors --seed. pretrain, finetune and sweep read a
-run config file; each of their flags is a config key override (flags win
-over file keys), so the ``effective_config.txt`` they write replays the
-run exactly.
+run config file; each of their flags stores into the config key that is
+its argparse ``dest`` (flags win over ``--set``, which wins over file
+keys), so the ``effective_config.txt`` they write replays the run
+exactly. ``--config`` sets ``fixed_config``, and a non-empty
+``fixed_config`` alone makes a pretrain or finetune run deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .data import (
 )
 from .encoder import EncoderModel, load_checkpoint, preset, save_checkpoint
 from .errors import ConfigError, InputError, StochpoolError
-from .runconfig import RunConfig, apply_overrides, echo_effective_config, load_config
+from .runconfig import KEY_TYPES, RunConfig, apply_overrides, echo_effective_config, load_config
 from .stochastic import FactorSets, fixed_config, parse_triplet
 from .training import TrainPlan, apply_head, finetune, pretrain_toy, write_train_log
 from .verify import run_checks
@@ -41,25 +43,24 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("pretrain", "finetune"):
         p = sub.add_parser(name, help=f"{name} a model from a run config file")
         p.add_argument("config_file", help="plain-text run configuration")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=["stochastic", "deterministic"], default=None)
-        p.add_argument("--config", default=None, metavar="TRIPLET",
-                       help="fixed S_f-S_k-S_q for deterministic mode")
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--output-dir", default=None)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--config", dest="fixed_config", metavar="TRIPLET",
+                       help="train deterministically at this S_f-S_k-S_q (sets fixed_config)")
+        p.add_argument("--steps", type=int)
+        p.add_argument("--output-dir")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any run-config key")
 
     p_sweep = sub.add_parser("sweep", help="cost/accuracy table over configurations")
     p_sweep.add_argument("config_file")
-    p_sweep.add_argument("--configs", default=None,
+    p_sweep.add_argument("--configs", dest="sweep_configs",
                          help="extra comma-separated triplets beyond the standard four "
                               "(sets sweep_configs)")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--no-measure", action="store_true",
+    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--no-measure", dest="measure", action="store_const", const="false",
                          help="analytic columns only, skip wall-time measurement "
                               "(sets measure = false)")
-    p_sweep.add_argument("--output-dir", default=None)
+    p_sweep.add_argument("--output-dir")
     p_sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     p_cost = sub.add_parser("cost", help="analytic MAC model only")
@@ -80,26 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
+    """The ``--set`` pairs, then every flag given: a flag's dest is its key."""
     overrides = {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    if getattr(args, "config", None) is not None:
-        overrides["fixed_config"] = args.config
-    if getattr(args, "steps", None) is not None:
-        overrides["steps"] = args.steps
-    if getattr(args, "output_dir", None) is not None:
-        overrides["output_dir"] = args.output_dir
-    if getattr(args, "configs", None) is not None:
-        overrides["sweep_configs"] = args.configs
-    if getattr(args, "no_measure", False):
-        overrides["measure"] = "false"
+    overrides.update((key, value) for key, value in vars(args).items()
+                     if key in KEY_TYPES and value is not None)
     return overrides
 
 
@@ -113,23 +103,19 @@ def _factor_sets(rc: RunConfig) -> FactorSets:
                       rc.factor_list("q_set"))
 
 
-def _fixed_from(rc: RunConfig, depth: int):
-    if not rc.fixed_config:
-        raise ConfigError("deterministic mode requires fixed_config (e.g. 2-1-1)")
-    s_f, s_k, s_q = parse_triplet(rc.fixed_config)
-    return fixed_config(s_f, s_k, s_q, depth)
-
-
 def _plan(rc: RunConfig, loss: str, depth: int) -> TrainPlan:
+    """A non-empty ``fixed_config`` trains every step at that configuration;
+    an empty one samples each step's configuration from the factor sets."""
+    fixed = fixed_config(*parse_triplet(rc.fixed_config), depth) if rc.fixed_config else None
     return TrainPlan(
-        mode=rc.mode,
+        mode="stochastic" if fixed is None else "deterministic",
         steps=rc.steps,
         batch_size=rc.batch_size,
         learning_rate=rc.learning_rate,
         seed=rc.seed,
         loss=loss,
-        sets=_factor_sets(rc) if rc.mode == "stochastic" else None,
-        fixed=_fixed_from(rc, depth) if rc.mode == "deterministic" else None,
+        sets=_factor_sets(rc) if fixed is None else None,
+        fixed=fixed,
         eval_interval=rc.eval_interval,
         freeze_extractor=rc.freeze_extractor,
     )
@@ -199,7 +185,7 @@ def cmd_pretrain(args) -> int:
     emb = extras.get("pretrain.mask_embedding")
     result = pretrain_toy(model, plan, dataset, mask_embedding=emb)
     write_train_log(out / "train_log.jsonl", result.log)
-    meta = {"phase": "pretrain", "preset": rc.preset, "seed": rc.seed, "mode": rc.mode}
+    meta = {"phase": "pretrain", "preset": rc.preset, "seed": rc.seed, "mode": plan.mode}
     save_checkpoint(out / "checkpoint.stpl", model.config, result.params, meta)
     if result.log:
         print(f"pretrain: {len(result.log)} steps, loss {result.initial_loss:.4f} -> "
@@ -220,7 +206,7 @@ def cmd_finetune(args) -> int:
     head = _head_from(extras, model.config.model_dim, rc.checkpoint, vocab)
     result = finetune(model, plan, train, vocab, val_dataset=val, head=head)
     write_train_log(out / "train_log.jsonl", result.log)
-    meta = {"phase": "finetune", "preset": rc.preset, "seed": rc.seed, "mode": rc.mode,
+    meta = {"phase": "finetune", "preset": rc.preset, "seed": rc.seed, "mode": plan.mode,
             "vocab_size": vocab}
     if token_vocab:
         meta["token_vocab"] = token_vocab

@@ -149,56 +149,47 @@ def preset(name: str) -> EncoderConfig:
     return EncoderConfig(**kw)
 
 
+def _layer_shapes(config: EncoderConfig) -> tuple:
+    """(name, shape) of each parameter of one transformer layer, in order."""
+    e, f = config.model_dim, config.ffn_dim
+    return (("attn.w_q", (e, e)), ("attn.w_k", (e, e)), ("attn.w_v", (e, e)),
+            ("attn.w_o", (e, e)), ("norm1.gamma", (e,)), ("norm1.beta", (e,)),
+            ("ffn.w1", (e, f)), ("ffn.b1", (f,)), ("ffn.w2", (f, e)), ("ffn.b2", (e,)),
+            ("norm2.gamma", (e,)), ("norm2.beta", (e,)))
+
+
+def _outer_shapes(config: EncoderConfig) -> tuple:
+    """Name -> shape maps of the parameters before the layers and after them."""
+    e = config.model_dim
+    before, c_in = {}, 1
+    for i, (k, _, c_out) in enumerate(FeatureExtractorConfig(config.base_channels).layers):
+        before[f"fe.conv{i}.weight"] = (c_out, c_in, k)
+        c_in = c_out
+    before.update({"fe.norm.gamma": (c_in,), "fe.norm.beta": (c_in,),
+                   "fe.proj.weight": (c_in, e), "fe.proj.bias": (e,),
+                   "pos_conv.weight": (e, e // config.pos_conv_groups, config.pos_conv_kernel),
+                   "input_norm.gamma": (e,), "input_norm.beta": (e,)})
+    after = {"upsample.weight": (e, e), "upsample.bias": (e,)} if config.max_squeeze > 1 else {}
+    return before, after
+
+
 def parameter_spec(config: EncoderConfig) -> dict:
     """Ordered name -> shape map for every parameter of an encoder instance."""
-    fe = FeatureExtractorConfig(config.base_channels)
-    e, f = config.model_dim, config.ffn_dim
-    shapes = {}
-    c_in = 1
-    for i, (k, _, c_out) in enumerate(fe.layers):
-        shapes[f"fe.conv{i}.weight"] = (c_out, c_in, k)
-        c_in = c_out
-    shapes["fe.norm.gamma"] = (c_in,)
-    shapes["fe.norm.beta"] = (c_in,)
-    shapes["fe.proj.weight"] = (c_in, e)
-    shapes["fe.proj.bias"] = (e,)
-    shapes["pos_conv.weight"] = (e, e // config.pos_conv_groups, config.pos_conv_kernel)
-    shapes["input_norm.gamma"] = (e,)
-    shapes["input_norm.beta"] = (e,)
-    for i in range(config.depth):
-        shapes[f"layer{i}.attn.w_q"] = (e, e)
-        shapes[f"layer{i}.attn.w_k"] = (e, e)
-        shapes[f"layer{i}.attn.w_v"] = (e, e)
-        shapes[f"layer{i}.attn.w_o"] = (e, e)
-        shapes[f"layer{i}.norm1.gamma"] = (e,)
-        shapes[f"layer{i}.norm1.beta"] = (e,)
-        shapes[f"layer{i}.ffn.w1"] = (e, f)
-        shapes[f"layer{i}.ffn.b1"] = (f,)
-        shapes[f"layer{i}.ffn.w2"] = (f, e)
-        shapes[f"layer{i}.ffn.b2"] = (e,)
-        shapes[f"layer{i}.norm2.gamma"] = (e,)
-        shapes[f"layer{i}.norm2.beta"] = (e,)
-    if config.max_squeeze > 1:
-        shapes["upsample.weight"] = (e, e)
-        shapes["upsample.bias"] = (e,)
-    return shapes
+    before, after = _outer_shapes(config)
+    layers = {f"layer{i}.{name}": shape
+              for i in range(config.depth) for name, shape in _layer_shapes(config)}
+    return {**before, **layers, **after}
 
 
 def _parameter_total(config: EncoderConfig) -> int:
-    """Number of values ``parameter_spec(config)`` describes, by arithmetic
-    alone, so that a config from an untrusted header can be checked before
-    anything its size depends on is built."""
-    e, f = config.model_dim, config.ffn_dim
-    total, c_in = 0, 1
-    for k, _, c_out in FeatureExtractorConfig(config.base_channels).layers:
-        total += c_out * c_in * k
-        c_in = c_out
-    total += 2 * c_in + c_in * e + e  # extractor norm and projection
-    total += e * (e // config.pos_conv_groups) * config.pos_conv_kernel + 2 * e
-    total += config.depth * (4 * e * e + 2 * e * f + f + 5 * e)
-    if config.max_squeeze > 1:
-        total += e * e + e
-    return total
+    """Number of values ``parameter_spec(config)`` describes, from the same
+    tables but without unrolling the layers, so that a config from an
+    untrusted header can be checked before anything its size depends on is
+    built."""
+    before, after = _outer_shapes(config)
+    per_layer = sum(math.prod(shape) for _, shape in _layer_shapes(config))
+    return (sum(math.prod(shape) for shape in (*before.values(), *after.values()))
+            + config.depth * per_layer)
 
 
 def _init_value(name: str, shape: tuple, rng: Rng) -> np.ndarray:
@@ -214,7 +205,8 @@ def _init_value(name: str, shape: tuple, rng: Rng) -> np.ndarray:
 
 
 class _Layer(NamedTuple):
-    """One transformer layer's parameters besides attention."""
+    """One transformer layer's parameters after its four attention
+    projections, in ``_layer_shapes`` order."""
 
     norm1_gamma: Tensor
     norm1_beta: Tensor
@@ -265,18 +257,11 @@ class EncoderModel:
                     data = value.data if isinstance(value, Tensor) else value
                     self.params[name] = Tensor(np.asarray(data), dtype=self.dtype)
         p = self.params
-        self.attention = [
-            AttentionParams(w_q=p[f"layer{i}.attn.w_q"], w_k=p[f"layer{i}.attn.w_k"],
-                            w_v=p[f"layer{i}.attn.w_v"], w_o=p[f"layer{i}.attn.w_o"],
-                            heads=config.heads)
-            for i in range(config.depth)
-        ]
-        self._layers = [
-            _Layer(*(p[f"layer{i}.{name}"] for name in (
-                "norm1.gamma", "norm1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
-                "norm2.gamma", "norm2.beta")))
-            for i in range(config.depth)
-        ]
+        self.attention, self._layers = [], []
+        for i in range(config.depth):
+            layer = [p[f"layer{i}.{name}"] for name, _ in _layer_shapes(config)]
+            self.attention.append(AttentionParams(*layer[:4], heads=config.heads))
+            self._layers.append(_Layer(*layer[4:]))
         self._fe_convs = [(p[f"fe.conv{i}.weight"], stride)
                           for i, (_, stride, _) in enumerate(self.fe.layers)]
         pad = (config.pos_conv_kernel - 1) // 2

@@ -16,11 +16,15 @@ from .errors import ConfigError
 
 @dataclass
 class RunConfig:
+    """Every run-config key with its default. ``fixed_config`` alone picks
+    how pretrain and finetune train: a ``S_f-S_k-S_q`` triplet trains every
+    step at it, empty samples each step from ``squeeze_set``, ``kv_set``
+    and ``q_set``."""
+
     preset: str = "tiny"
     seed: int = 0
     output_dir: str = "runs/out"
-    mode: str = "stochastic"
-    fixed_config: str = ""  # "S_f-S_k-S_q", deterministic mode only
+    fixed_config: str = ""
     squeeze_set: str = "1,2"
     kv_set: str = "1,2"
     q_set: str = "1,2"
@@ -60,11 +64,11 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}  # every key, by field type
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    kind = KEY_TYPES[key]
     raw = raw.strip()
     if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
@@ -95,7 +99,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected `key = value`, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in KEY_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         setattr(config, key, _coerce(key, raw))
     return config
@@ -112,7 +116,7 @@ def load_config(path) -> RunConfig:
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     """Apply `key=value` overrides (command-line flags win over file keys)."""
     for key, raw in overrides.items():
-        if key not in _FIELD_TYPES:
+        if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(config, key, _coerce(key, str(raw)))
     return config

@@ -232,16 +232,20 @@ def backward(loss: Tensor) -> GradientMap:
 
 
 class MacCounter:
-    """Counts multiply-accumulates executed by matmul and conv1d.
+    """Counts multiply-accumulates executed by matmul, conv1d and attention.
 
     Elementwise work (softmax, layer norm, activations, pooling) is
     deliberately not counted; the analytic cost model excludes it too.
+    The attention op also counts its calls (``attention_calls``), the calls
+    that skipped the softmax max shift (``shift_skips``) and the query
+    blocks it walked (``query_blocks``).
     """
 
     def __init__(self):
         self.total = 0
         self.by_scope = {}
         self._stack = []
+        self.attention_calls = self.shift_skips = self.query_blocks = 0
 
     def add(self, n: int):
         self.total += n

@@ -377,31 +377,17 @@ def finetune(model: EncoderModel, plan: TrainPlan, dataset, vocab: int,
     if head is None:
         head = make_head(model.config.model_dim, vocab, plan.seed, dtype=model.dtype)
 
-    def logits_for(utt, config):
-        features = _utterance_features(model, utt, plan.freeze_extractor)
-        return apply_head(model.forward(features, config), head)
-
     def loss_fn(utt, config, step, slot):
         if utt.labels is None:
             raise InputError("finetune requires labeled utterances")
+        features = _utterance_features(model, utt, plan.freeze_extractor)
         try:
-            return ctc_loss(logits_for(utt, config), utt.labels)
+            return ctc_loss(apply_head(model.forward(features, config), head), utt.labels)
         except InfeasibleLabelError:
             return None
 
     def val_fn():
-        config = fixed_config(1, 1, 1, model.config.depth)
-        total, count = 0.0, 0
-        for i in range(len(val_dataset)):
-            utt = val_dataset[i]
-            try:
-                total += ctc_loss(logits_for(utt, config), utt.labels).item()
-                count += 1
-            except InfeasibleLabelError:
-                continue
-        if count == 0:
-            raise InputError("validation set has no feasible utterances")
-        return total / count
+        return evaluate(model, head, fixed_config(1, 1, 1, model.config.depth), val_dataset).loss
 
     return _run_loop(model, head, plan, dataset, loss_fn, phase="finetune",
                      val_fn=val_fn if val_dataset is not None else None)
@@ -412,7 +398,8 @@ def evaluate(model: EncoderModel, head: dict, config: CompressionConfig,
     """Fixed-configuration inference with greedy decoding.
 
     Symbol error is corpus-level: total edit distance over total reference
-    length.
+    length. The loss is the mean CTC loss over the feasible utterances;
+    a set with none raises InputError.
     """
     if len(dataset) < 1:
         raise InputError("evaluate requires a non-empty dataset")
@@ -434,6 +421,7 @@ def evaluate(model: EncoderModel, head: dict, config: CompressionConfig,
             pass
         total_edit += edit_distance(hyp, utt.labels)
         total_ref += len(utt.labels)
+    if loss_count == 0:
+        raise InputError("no utterance of the evaluation set is feasible for CTC")
     symbol_error = total_edit / total_ref if total_ref else 0.0
-    mean_loss = total_loss / loss_count if loss_count else float("inf")
-    return EvalResult(loss=mean_loss, symbol_error=symbol_error)
+    return EvalResult(loss=total_loss / loss_count, symbol_error=symbol_error)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention
 from .attention import AttentionParams, _shift_free, attend, multi_head_pooled
 from .ctc import ctc_loss, ctc_loss_bruteforce, greedy_decode
 from .data import synth_audio
@@ -28,6 +27,7 @@ from .tensor import (
     backward,
     concat,
     conv1d,
+    count_macs,
     gelu,
     layer_norm,
     matmul,
@@ -342,70 +342,52 @@ def _check_float32_serving(seed):
     without a padding mask, once as initialised and once with layer 0's
     w_q scaled by 32. The scaled layer's logits exceed float32's exp range
     (about 88.7), so it must take the max shift while the other layers
-    skip it; both sides of the decision are asserted to have run. A
-    600-frame feature input at 1-1-1, with and without a mask, spans more
-    than one float32 query block of the attention op, which is asserted
-    too.
+    skip it; the MAC counter's attention counts assert that both sides of
+    the decision ran. A 600-frame feature input at 1-1-1, with and without
+    a mask, spans more than one float32 query block per attention call,
+    which is asserted too.
     """
     base = EncoderModel(preset("small"), seed=seed)
     audio = synth_audio(seed, seconds=1.0)
-    decisions = []
-    block_counts = []
-    real_shift_free = attention._shift_free
-    real_query_blocks = attention._query_blocks
-
-    def spy(qs, k, v, tk):
-        safe = real_shift_free(qs, k, v, tk)
-        if qs.dtype == np.float32:
-            decisions.append(safe)
-        return safe
-
-    def block_spy(tq, tk, heads, itemsize):
-        blocks = real_query_blocks(tq, tk, heads, itemsize)
-        if itemsize == 4:
-            block_counts.append(len(blocks))
-        return blocks
 
     def compare(model64, model32, feats64, feats32, triplet, valid, what):
+        """Checks one float32 forward against float64; returns its counter."""
         config = fixed_config(*triplet, base.config.depth)
         want = model64.forward(feats64, config, valid).data
-        got = model32.forward(feats32, config, valid).data
+        with count_macs() as counter:
+            got = model32.forward(feats32, config, valid).data
         err = float(np.abs(got - want).max() / np.abs(want).max())
         assert err <= 1e-3, (  # NaN fails too
             f"float32 deviates by {err:.3e} relative at {triplet}, {what}, "
             f"mask {valid is not None}")
+        return counter
 
-    attention._shift_free = spy
-    attention._query_blocks = block_spy
-    try:
-        for w_q_scale in (1.0, 32.0):
-            params = {n: t.data * w_q_scale if n == "layer0.attn.w_q" else t.data
-                      for n, t in base.params.items()}
-            model64 = EncoderModel(base.config, params=params)
-            model32 = model64.astype(np.float32)
-            feats64 = model64.extract_features(audio)
-            feats32 = model32.extract_features(audio)
-            t = feats64.shape[0]
-            padded = np.arange(t) < t - t // 4
-            for triplet in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)):
-                for valid in (None, padded):
-                    compare(model64, model32, feats64, feats32, triplet, valid,
-                            f"w_q x{w_q_scale:g}")
-        t = 600
-        feats = _rand(Rng(seed).fork("long_features"), t, base.config.model_dim)
-        base32 = base.astype(np.float32)
-        block_counts.clear()
-        for valid in (None, np.arange(t) < t - t // 4):
-            compare(base, base32, feats, feats, (1, 1, 1), valid, f"{t} feature frames")
-    finally:
-        attention._shift_free = real_shift_free
-        attention._query_blocks = real_query_blocks
-    assert any(decisions) and not all(decisions), (
-        f"{sum(decisions)} of {len(decisions)} float32 calls skipped the shift; "
-        "both sides must run")
-    assert max(block_counts) > 1, (
-        f"the {t}-frame float32 forward ran {max(block_counts)} query block(s) per call; "
-        "it must span more than one")
+    calls = skips = 0
+    for w_q_scale in (1.0, 32.0):
+        params = {n: t.data * w_q_scale if n == "layer0.attn.w_q" else t.data
+                  for n, t in base.params.items()}
+        model64 = EncoderModel(base.config, params=params)
+        model32 = model64.astype(np.float32)
+        feats64 = model64.extract_features(audio)
+        feats32 = model32.extract_features(audio)
+        t = feats64.shape[0]
+        padded = np.arange(t) < t - t // 4
+        for triplet in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)):
+            for valid in (None, padded):
+                counter = compare(model64, model32, feats64, feats32, triplet, valid,
+                                  f"w_q x{w_q_scale:g}")
+                calls += counter.attention_calls
+                skips += counter.shift_skips
+    assert 0 < skips < calls, (
+        f"{skips} of {calls} float32 calls skipped the shift; both sides must run")
+    t = 600
+    feats = _rand(Rng(seed).fork("long_features"), t, base.config.model_dim)
+    base32 = base.astype(np.float32)
+    for valid in (None, np.arange(t) < t - t // 4):
+        counter = compare(base, base32, feats, feats, (1, 1, 1), valid, f"{t} feature frames")
+        assert counter.query_blocks > counter.attention_calls, (
+            f"the {t}-frame float32 forward ran {counter.query_blocks} query blocks in "
+            f"{counter.attention_calls} calls; each must span more than one")
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ class TestRunConfig:
             parse_config_text("measure = maybe\n")
 
     def test_text_round_trip(self, tmp_path):
-        cfg = RunConfig(seed=7, mode="deterministic", fixed_config="2-1-1")
+        cfg = RunConfig(seed=7, fixed_config="2-1-1")
         path = tmp_path / "c.cfg"
         path.write_text(cfg.to_text())
         again = load_config(path)
@@ -130,11 +130,20 @@ class TestPretrainCommand:
 
     def test_deterministic_flags_recorded_verbatim(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.cfg", output_dir=tmp_path / "out")
-        assert run("pretrain", str(cfg), "--mode", "deterministic",
-                   "--config", "2-1-1") == 0
+        assert run("pretrain", str(cfg), "--config", "2-1-1") == 0
         effective = (tmp_path / "out" / "effective_config.txt").read_text()
-        assert "mode = deterministic" in effective
         assert "fixed_config = 2-1-1" in effective
+
+    @pytest.mark.parametrize("command,dataset", [("pretrain", "synthetic-sines"),
+                                                 ("finetune", "synthetic-symbols")])
+    def test_config_flag_alone_trains_at_it(self, tmp_path, command, dataset):
+        cfg = write_cfg(tmp_path / "run.cfg", output_dir=tmp_path / "out", dataset=dataset)
+        assert run(command, str(cfg), "--config", "2-1-1") == 0
+        replay = tmp_path / "out" / "effective_config.txt"
+        assert run(command, str(replay), "--output-dir", str(tmp_path / "replay")) == 0
+        for out in ("out", "replay"):
+            log = (tmp_path / out / "train_log.jsonl").read_text().splitlines()
+            assert [json.loads(line)["config"] for line in log] == ["2-1-1"] * 6
 
     def test_missing_config_file(self, tmp_path):
         assert run("pretrain", str(tmp_path / "absent.cfg")) == 2
@@ -148,9 +157,11 @@ class TestPretrainCommand:
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text("stepz = 5\n")
-        assert run("pretrain", str(path)) == 2
-        assert "stepz" in capsys.readouterr().err
+        # effective configs written while `mode` was a key still name it
+        for line, key in (("stepz = 5", "stepz"), ("mode = deterministic", "mode")):
+            path.write_text(f"{line}\nfixed_config = 2-1-1\n")
+            assert run("pretrain", str(path)) == 2
+            assert repr(key) in capsys.readouterr().err
 
 
 def _unreadable_argv(tmp_path, bad, kind):

@@ -329,6 +329,19 @@ class TestEvaluate:
         b = evaluate(model, head, config, ds)
         assert a.loss == b.loss and a.symbol_error == b.symbol_error
 
+    def test_no_feasible_utterance_rejected(self):
+        class Infeasible:  # four frames cannot carry six labels
+            def __len__(self):
+                return 2
+
+            def __getitem__(self, i):
+                return Utterance(features=np.zeros((4, 64)), labels=(1, 2, 3, 4, 1, 2))
+
+        model = tiny_model()
+        head = make_head(64, 4, seed=0)
+        with pytest.raises(InputError, match="feasible"):
+            evaluate(model, head, fixed_config(1, 1, 1, 2), Infeasible())
+
     def test_unlabeled_rejected(self):
         model = tiny_model()
         head = make_head(64, 4, seed=0)
