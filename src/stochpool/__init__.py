@@ -29,7 +29,7 @@ from .errors import (
     StochpoolError,
     UsageError,
 )
-from .pooling import downsample, pool_mask, upsample
+from .pooling import downsample, upsample
 from .stochastic import (
     CompressionConfig,
     FactorSets,
@@ -84,7 +84,6 @@ __all__ = [
     "make_head",
     "multi_head_pooled",
     "parse_triplet",
-    "pool_mask",
     "preset",
     "pretrain_toy",
     "sample_config",

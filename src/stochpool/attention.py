@@ -4,19 +4,18 @@ Every attention call runs one tape op over (H, T, d) views of the
 projected queries, keys and values. The (T, E) queries are scaled by
 c = 1/sqrt(d) first, so a batched matmul gives the scaled logits. The op
 walks the queries in blocks of rows whose (H, rows, Tk) logits fit
-``_LOGITS_BLOCK_BYTES`` (4 MiB). In each block the key mask (one additive
-row built once per call), exp and the row sums work in place in the
-block's weights buffer, and a batched matmul with the values writes the
-block's rows of the (H, Tq, d_v) output, which are then divided by their
-row sums. When a tape records the op, the blocks are rows of one
-(H, Tq, Tk) buffer, because the backward, written by hand, normalises
-those weights and reads them whole. Otherwise every block reuses one
-block-sized scratch buffer, so a forward without a tape never holds the
-whole logits matrix. When all queries fit one block (in float32 at
-H = 4, whenever Tq Tk <= 2^18) that block is the whole buffer. The op
+``_LOGITS_BLOCK_BYTES`` (4 MiB). In each block exp and the row sums work
+in place in the block's weights buffer, and a batched matmul with the
+values writes the block's rows of the (H, Tq, d_v) output, which are then
+divided by their row sums. When a tape records the op, the blocks are rows
+of one (H, Tq, Tk) buffer, because the backward, written by hand,
+normalises those weights and reads them whole. Otherwise every block
+reuses one block-sized scratch buffer, so a forward without a tape never
+holds the whole logits matrix. When all queries fit one block (in float32
+at H = 4, whenever Tq Tk <= 2^18) that block is the whole buffer. The op
 reports its multiply-accumulates to the active counter like ``matmul``
-does, along with its call, whether it skipped the max shift below and
-its query block count. Single-head attention is the H = 1 case.
+does, along with its call, whether it skipped the max shift below and its
+query block count. Single-head attention is the H = 1 case.
 
 Softmax is shift-invariant, so the usual subtraction of each row's max
 logit only guards the range of exp. The op skips it when a bound proves
@@ -25,29 +24,25 @@ it unneeded. By Cauchy-Schwarz every logit of every head obeys
 E-wide rows (a head's columns are a subset of them), computed from
 squared row norms in O(T E). The shift is skipped when B < L, the module
 constant ``_EXP_LIMIT`` (60 in float32, 300 in float64), and
-Tk * V_lo < V and Tk * V <= V_hi, where V is the largest |v| over the
-unmasked keys. With u the unit roundoff, eta the smallest subnormal and
-M the largest finite number, V_lo = eta e^(L+1) / u and
-V_hi = M / (2 e^(L+1)). This covers:
+Tk * V_lo < V and Tk * V <= V_hi, where V is the largest |v|. With u the
+unit roundoff, eta the smallest subnormal and M the largest finite number,
+V_lo = eta e^(L+1) / u and V_hi = M / (2 e^(L+1)). This covers:
 
 - every logit: the logits matmul and the norms each round at most E
   terms, so a computed logit exceeds the computed B by a factor of at
   most 1 + 3 (E+1) u, and norms that underflow hide less than 0.3; for
-  E up to 46,000 (float32) or 5e12 (float64) every unmasked logit lies
-  in [-L-1, L+1];
+  E up to 46,000 (float32) or 5e12 (float64) every logit lies in
+  [-L-1, L+1];
 - every exp: e^(L+1) and e^-(L+1) are normal numbers (float32: e^61 is
   3.1e26 <= 3.4e38 and e^-61 is 3.2e-27 >= 1.2e-38; float64: e^+-301), so
   no weight overflows or underflows;
-- every row sum: it lies between e^-(L+1) > 0 (``attend`` rejects rows
-  with every key masked) and Tk e^(L+1), finite for any Tk below 1e12;
+- every row sum: it lies between e^-(L+1) > 0 (the V_lo test needs at
+  least one key) and Tk e^(L+1), finite for any Tk below 1e12;
 - every entry of p @ v: each partial sum is at most Tk e^(L+1) V in
   magnitude, at most M / 2 by the V_hi test, and the factor 2 absorbs
   rounding. Products that underflow add at most Tk eta of absolute
   error, at most Tk eta e^(L+1) after the division by the row sum, and
-  the V_lo test keeps that below one rounding u V of the output;
-- the masked case: a masked key's logit becomes -inf and its weight
-  exactly 0. Its norm stays in B, which only loosens the bound, and its
-  value leaves V, so V bounds exactly the values that reach the output.
+  the V_lo test keeps that below one rounding u V of the output.
 
 Otherwise (a larger bound, values outside the window or non-finite
 inputs) each row is shifted by its max as before. Either way the weights
@@ -60,16 +55,14 @@ weights instead of seven.
 The pooled form shrinks the computation without touching any parameters.
 ``multi_head_pooled`` mean-pools the layer input before projecting it: by
 ``s_q`` for the queries, by ``s_k`` for the keys and values, with the one
-mean-pool op, ``pooling.downsample``. It attends
-over the pooled rows, applies ``w_o`` to the ceil(T/s_q) output rows and
-only then replicate-upsamples them to T. Pooling (P x) and upsampling act
-on rows, the projections (x W) on columns, so P (x W) = (P x) W and both
-orders agree up to rounding; with a key mask the keys and values come from
-the mean over the valid rows of each block (``downsample``'s ``valid``
-argument), which is linear in x too.
-MViT (Fan et al. 2021) pools after projecting; with mean pooling the order
-is free, and pooling first runs every E x E product at the pooled length.
-With both factors at 1 the computation is bit-identical to plain attention.
+mean-pool op, ``pooling.downsample``. It attends over the pooled rows,
+applies ``w_o`` to the ceil(T/s_q) output rows and only then
+replicate-upsamples them to T. Pooling (P x) and upsampling act on rows,
+the projections (x W) on columns, so P (x W) = (P x) W and both orders
+agree up to rounding. MViT (Fan et al. 2021) pools after projecting; with
+mean pooling the order is free, and pooling first runs every E x E product
+at the pooled length. With both factors at 1 the computation is
+bit-identical to plain attention.
 """
 
 from __future__ import annotations
@@ -79,8 +72,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError
-from .pooling import downsample, pool_mask, upsample
+from .errors import ConfigError, ShapeError
+from .pooling import downsample, upsample
 from .tensor import (Tensor, _merge_groups, _split_groups, _state, _wrap, as_tensor, mac_scope,
                      matmul)
 
@@ -125,18 +118,18 @@ def _value_window(dtype: np.dtype, limit: float) -> tuple:
 _SHIFT_FREE = {dt: (limit, *_value_window(dt, limit)) for dt, limit in _EXP_LIMIT.items()}
 
 
-def _shift_free(qs: np.ndarray, k: np.ndarray, v: np.ndarray, tk: int) -> bool:
+def _shift_free(qs: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
     """Whether exp(qs k^T) and its product with v are safe without a max shift.
 
-    ``qs`` holds the pre-scaled queries, ``v`` the values of the unmasked
-    keys and ``tk`` the key count. Non-finite inputs, all-zero values and an
-    empty key set all give False, so they take the shifted path.
+    ``qs`` holds the pre-scaled queries. Non-finite inputs, all-zero values
+    and an empty key set all give False, so they take the shifted path.
     """
     limit, v_lo, v_hi = _SHIFT_FREE[qs.dtype]
     largest = np.maximum.reduce
     q2 = float(largest(np.einsum("ij,ij->i", qs, qs), axis=None, initial=0.0))
     k2 = float(largest(np.einsum("ij,ij->i", k, k), axis=None, initial=0.0))
     v_max = float(largest(np.abs(v), axis=None, initial=0.0))
+    tk = len(k)
     return q2 * k2 < limit * limit and tk * v_lo < v_max and tk * v_max <= v_hi
 
 
@@ -151,20 +144,18 @@ def _query_blocks(tq: int, tk: int, heads: int, itemsize: int) -> range:
     return range(0, tq, max(1, _LOGITS_BLOCK_BYTES // (heads * tk * itemsize)))
 
 
-def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
-    """softmax(q k^T / sqrt(d) + key mask) v for each head, as one tape op."""
+def _fused_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """softmax(q k^T / sqrt(d)) v for each head, as one tape op."""
     qd, kd, vd = q.data, k.data, v.data
     tq, tk = qd.shape[0], kd.shape[0]
     d = qd.shape[1] // heads
     c = 1.0 / math.sqrt(d)
     qs = qd * c  # scale the (Tq, E) queries, not the (H, Tq, Tk) logits
-    masked = mask is not None and not mask.all()
-    shift = not _shift_free(qs, kd, vd[mask] if masked else vd, tk)
+    shift = not _shift_free(qs, kd, vd)
     qh = _split_groups(qs, heads)
     kh = _split_groups(kd, heads)
     vh = _split_groups(vd, heads)
     p_type = np.result_type(qs, kd)
-    bias = np.where(mask, 0.0, -np.inf).astype(p_type) if masked else None
     blocks = _query_blocks(tq, tk, heads, p_type.itemsize)
     macs = _state.macs
     if macs is not None:
@@ -182,8 +173,6 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
         rows = slice(a, a + blocks.step)  # the last block's slice stops at tq
         pb = p[:, rows] if recorded else p[:, :tq - a]  # logits, then weights, in place
         np.matmul(qh[:, rows], kh.transpose(0, 2, 1), out=pb)
-        if bias is not None:
-            pb += bias
         if shift:  # only when the bound cannot rule out overflow or underflow
             pb -= np.maximum.reduce(pb, axis=2, keepdims=True)
         np.exp(pb, out=pb)
@@ -207,15 +196,12 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
     return _wrap(_merge_groups(oh), (q, k, v), bwd)
 
 
-def attend(q, k, v, mask=None, heads: int = 1) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v with optional key-validity masking.
+def attend(q, k, v, heads: int = 1) -> Tensor:
+    """softmax(q k^T / sqrt(d)) v.
 
     With ``heads`` > 1 the columns of q, k and v split into that many
     equal groups; group h attends with q, k and v's group h (d is the
     group width of q), and the outputs sit side by side in column order.
-    Masked keys receive -inf logits and thus zero weight. It is an error
-    for every key to be masked: the attention distribution would be
-    undefined.
     """
     q = q if type(q) is Tensor else as_tensor(q)
     k = k if type(k) is Tensor else as_tensor(k)
@@ -230,21 +216,14 @@ def attend(q, k, v, mask=None, heads: int = 1) -> Tensor:
     if heads < 1 or qd.shape[1] % heads or vd.shape[1] % heads:
         raise ConfigError(f"widths {qd.shape[1]} and {vd.shape[1]} must be divisible "
                           f"by heads={heads}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (kd.shape[0],):
-            raise ShapeError(f"key mask must have shape ({kd.shape[0]},), got {mask.shape}")
-        if not mask.any():
-            raise InputError("all attention keys are masked; distribution undefined")
-    return _fused_attention(q, k, v, mask, heads)
+    return _fused_attention(q, k, v, heads)
 
 
-def multi_head_pooled(x, params: AttentionParams, pair: tuple, mask=None) -> Tensor:
+def multi_head_pooled(x, params: AttentionParams, pair: tuple) -> Tensor:
     """Multi-head attention over x, pooled before projecting: for the
     factor pair ``(s_k, s_q)``, the order ``CompressionConfig.per_layer``
-    stores it in, queries by s_q and keys and values by s_k (over the rows
-    ``mask`` marks valid, when given); the output is upsampled back to
-    len(x)."""
+    stores it in, queries by s_q and keys and values by s_k; the output is
+    upsampled back to len(x)."""
     x = x if type(x) is Tensor else as_tensor(x)
     shape = x.data.shape
     width = params.w_q.data.shape[0]
@@ -255,11 +234,10 @@ def multi_head_pooled(x, params: AttentionParams, pair: tuple, mask=None) -> Ten
     if s_k < 1 or s_q < 1:
         raise ConfigError(f"pooling factors (s_k, s_q) must be >= 1, got {pair}")
     x_q = downsample(x, s_q) if s_q > 1 else x
-    if s_k == s_q and mask is None:
+    if s_k == s_q:
         x_kv = x_q
     elif s_k > 1:
-        x_kv = downsample(x, s_k, mask)
-        mask = None if mask is None else pool_mask(mask, s_k)
+        x_kv = downsample(x, s_k)
     else:
         x_kv = x
     with mac_scope("attn_proj"):
@@ -267,7 +245,7 @@ def multi_head_pooled(x, params: AttentionParams, pair: tuple, mask=None) -> Ten
         k = matmul(x_kv, params.w_k)
         v = matmul(x_kv, params.w_v)
     with mac_scope("attn_scores"):
-        out = attend(q, k, v, mask, params.heads)
+        out = attend(q, k, v, params.heads)
     with mac_scope("attn_proj"):
         out = matmul(out, params.w_o)
     return upsample(out, s_q, truncate_to=n) if s_q > 1 else out

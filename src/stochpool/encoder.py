@@ -9,10 +9,7 @@ Pipeline for one forward pass at compression (s_f, per-layer (s_k, s_q)):
 
 Both mean pools, the squeeze by s_f and each layer's query and key-value
 pooling, are ``pooling.downsample``. The head runs on the T' = ceil(T/s_f)
-squeezed rows, which equals running it after the row-copying upsample. A
-``valid`` mask goes through the same op: it zeroes padded frames (s_f = 1)
-or leaves them out of each block's mean (s_f > 1) before the positional
-conv, so their content never reaches real frames.
+squeezed rows, which equals running it after the row-copying upsample.
 The squeeze path is skipped entirely at s_f = 1, so a (1,1,1) pass is a
 plain post-LN transformer encoder. The upsample head is the only
 parameter the squeeze mechanism adds, and it exists once for all squeeze
@@ -32,7 +29,7 @@ import numpy as np
 
 from .attention import AttentionParams, multi_head_pooled
 from .errors import ConfigError, InputError, ShapeError
-from .pooling import downsample, pool_mask, upsample
+from .pooling import downsample, upsample
 from .stochastic import CompressionConfig, Rng
 from .tensor import (
     Tensor,
@@ -306,11 +303,10 @@ class EncoderModel:
                           stride=1, groups=self.config.pos_conv_groups)
         return add(x, gelu(conv))
 
-    def forward(self, features, config: CompressionConfig, valid=None) -> Tensor:
+    def forward(self, features, config: CompressionConfig) -> Tensor:
         """Encode a T x E feature sequence at one compression configuration.
 
-        Output length always equals input length; ``valid`` optionally
-        marks real (unpadded) frames and is pooled alongside the data.
+        Output length always equals input length.
         """
         x = features if type(features) is Tensor else as_tensor(features, dtype=self.dtype)
         cfg = self.config
@@ -319,19 +315,13 @@ class EncoderModel:
             raise ShapeError(f"features must be T x {cfg.model_dim}, got {shape}")
         config.check_fits(cfg)
         t_in = shape[0]
-        if valid is not None:
-            valid = np.asarray(valid, dtype=bool)
-            if valid.shape != (t_in,):
-                raise ShapeError(f"valid mask must have shape ({t_in},), got {valid.shape}")
-
-        if config.s_f > 1 or valid is not None:  # a mask zeroes padded frames at s_f = 1
-            x = downsample(x, config.s_f, valid)
-            valid = None if valid is None else pool_mask(valid, config.s_f)
+        if config.s_f > 1:
+            x = downsample(x, config.s_f)
         x = self._positional(x)
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
         for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):
-            attn_out = multi_head_pooled(x, attn, pair, valid)
+            attn_out = multi_head_pooled(x, attn, pair)
             x = layer_norm(add(x, attn_out), layer.norm1_gamma, layer.norm1_beta)
             with mac_scope("ffn"):
                 h = gelu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))

@@ -18,7 +18,7 @@ class UsageError(StochpoolError, RuntimeError):
 
 
 class InputError(StochpoolError, ValueError):
-    """Rejected input data (audio format, empty dataset, masked-out keys)."""
+    """Rejected input data (audio format, empty dataset)."""
 
 
 class InfeasibleLabelError(StochpoolError, ValueError):

@@ -2,13 +2,10 @@
 
 ``downsample`` averages blocks of ``factor`` consecutive rows (a trailing
 partial block is averaged over its actual row count rather than being
-zero-padded, which would bias the final frame toward zero). Given a
-``valid`` row mask it averages each block over its valid rows only, and
-``pool_mask`` gives the pooled mask: a block is valid iff any of its rows
-is. ``upsample`` repeats each row ``factor`` times and optionally
-truncates so callers can restore an exact pre-pooling length. Both are
-linear, have exact adjoints, and are inverse in the order
-downsample(upsample(y)) == y.
+zero-padded, which would bias the final frame toward zero). ``upsample``
+repeats each row ``factor`` times and optionally truncates so callers can
+restore an exact pre-pooling length. Both are linear, have exact
+adjoints, and are inverse in the order downsample(upsample(y)) == y.
 
 Every block sum (``downsample`` and ``upsample``'s backward) goes through
 one reshape-based helper, ``_block_sums``, which adds a block's rows in
@@ -47,57 +44,27 @@ def _block_sums(a: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-def downsample(x, factor, valid=None) -> Tensor:
-    """Mean over consecutive row blocks; output has ceil(N/factor) rows.
-
-    With a ``valid`` mask each block's mean runs over its valid rows only;
-    a block with none comes out as zeros, so at factor 1 every invalid row
-    is zeroed.
-    """
+def downsample(x, factor) -> Tensor:
+    """Mean over consecutive row blocks; output has ceil(N/factor) rows."""
     x = x if type(x) is Tensor else as_tensor(x)
     factor = _check_factor(factor)
     xd = x.data
     if xd.ndim != 2 or xd.shape[0] < 1:
         raise ShapeError(f"downsample requires a non-empty N x D tensor, got {xd.shape}")
-    n = xd.shape[0]
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (n,):
-            raise ShapeError(f"validity mask must have shape ({n},), got {valid.shape}")
-        if valid.all():
-            valid = None
-    if factor == 1 and valid is None:
+    if factor == 1:
         return _identity(x)
-    starts = np.arange(0, n, factor)
+    n = xd.shape[0]
+    counts = np.minimum(factor, n - np.arange(0, n, factor)).astype(xd.dtype)
     # mean as base row + mean of deviations from it: bit-exact on blocks of
     # identical rows, which makes downsample(upsample(y)) == y hold exactly
-    if valid is None:
-        counts = np.minimum(factor, n - starts).astype(xd.dtype)
-        base = xd[::factor]
-    else:
-        # the base is each block's first valid row (zeros for a block with
-        # none), and invalid rows get weight 0
-        weights = valid.astype(xd.dtype)[:, None]
-        counts = np.maximum(_block_sums(weights[:, 0], factor), 1.0)
-        first = np.minimum.reduceat(np.where(valid, np.arange(n), n), starts)
-        has_valid = first < n
-        base = np.zeros((len(starts), xd.shape[1]), dtype=xd.dtype)
-        base[has_valid] = xd[first[has_valid]]
+    base = xd[::factor]
     deviations = xd - base.repeat(factor, axis=0)[:n]
-    if valid is not None:
-        deviations *= weights
     out = base + _block_sums(deviations, factor) / counts[:, None]
 
     def bwd(g):
-        grad = (g / counts[:, None]).repeat(factor, axis=0)[:n]
-        return (grad if valid is None else grad * weights,)
+        return ((g / counts[:, None]).repeat(factor, axis=0)[:n],)
 
     return _wrap(out, (x,), bwd)
-
-
-def pool_mask(valid: np.ndarray, factor: int) -> np.ndarray:
-    """The validity of each block of ``factor`` rows: whether any row is valid."""
-    return np.logical_or.reduceat(valid, np.arange(0, len(valid), factor))
 
 
 def upsample(x, factor, truncate_to=None) -> Tensor:

@@ -72,6 +72,10 @@ class TrainPlan:
             raise ConfigError("stochastic mode requires FactorSets to sample from")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.eval_interval < 0:
+            raise ConfigError(f"eval_interval must be >= 0, got {self.eval_interval}")
 
 
 @dataclass

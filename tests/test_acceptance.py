@@ -206,11 +206,6 @@ def test_criterion_3_gradient_suite():
          [rand(531, 4, 3)]),
         ("ctc_loss", lambda a: ctc_loss(a, (1, 2)), [rand(532, 5, 3)]),
     ]
-    valid = np.array([True, True, False, True, True, False, True, True])
-    op_cases.append(
-        ("downsample_masked",
-         lambda a: sum_all(mul(downsample(a, 2, valid), downsample(a, 2, valid))),
-         [rand(533, 8, 3)]))
     tgt_attend = Tensor(rand(534, 6, 4))
 
     def pooled_loss(x, w_q, w_k, w_v, w_o, pair):

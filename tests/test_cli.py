@@ -163,6 +163,15 @@ class TestPretrainCommand:
             assert run("pretrain", str(path)) == 2
             assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("learning_rate", -1), ("learning_rate", 0),
+                                           ("learning_rate", "nan"), ("eval_interval", -3)])
+    def test_bad_hyperparameter_exits_two_naming_it(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path / "run.cfg", output_dir=tmp_path / "out",
+                        dataset="synthetic-symbols", steps=3, **{key: value})
+        assert run("finetune", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
 
 def _unreadable_argv(tmp_path, bad, kind):
     """Command line that reaches the unreadable file ``bad`` as input ``kind``."""

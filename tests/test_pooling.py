@@ -5,7 +5,7 @@ import pytest
 
 from stochpool.errors import ConfigError, ShapeError
 from stochpool.gradcheck import check_gradients
-from stochpool.pooling import downsample, output_length, pool_mask, upsample
+from stochpool.pooling import downsample, output_length, upsample
 from stochpool.stochastic import Rng
 from stochpool.tensor import Tape, Tensor, backward, mul, sum_all
 
@@ -114,63 +114,3 @@ class TestAdjoints:
             loss = sum_all(upsample(x, 2, truncate_to=3))
         grads = backward(loss)
         assert np.array_equal(grads[x], [[2.0], [1.0], [0.0]])
-
-
-def loop_masked_mean(x, factor, valid):
-    """Each block's mean over its valid rows (zeros when it has none), one
-    block at a time, and the gradient of the sum of its outputs."""
-    out = np.zeros((-(-len(x) // factor), x.shape[1]))
-    grad = np.zeros_like(x)
-    for b, start in enumerate(range(0, len(x), factor)):
-        rows = [r for r in range(start, min(start + factor, len(x))) if valid[r]]
-        for r in rows:
-            out[b] += x[r] / len(rows)
-            grad[r] = 1.0 / len(rows)
-    return out, grad
-
-
-class TestMaskedDownsample:
-    def test_any_valid_rule_and_partial_mean(self):
-        x = Tensor(np.array([[2.0], [4.0], [6.0], [8.0], [10.0]]))
-        valid = np.array([True, False, False, False, True])
-        pooled = downsample(x, 2, valid)
-        assert np.array_equal(pool_mask(valid, 2), [True, False, True])
-        assert pooled.data[0, 0] == 2.0  # mean over valid rows only
-        assert pooled.data[1, 0] == 0.0  # fully masked block placeholder
-        assert pooled.data[2, 0] == 10.0
-
-    def test_matches_plain_downsample_when_all_valid(self):
-        x = rand(15, 9, 3)
-        plain = downsample(Tensor(x), 2).data
-        valid = np.ones(9, dtype=bool)
-        assert np.array_equal(downsample(Tensor(x), 2, valid).data, plain)
-        assert pool_mask(valid, 2).all()
-
-    def test_gradient_skips_invalid_rows(self):
-        valid = np.array([True, False, True, True])
-        x = Tensor(rand(16, 4, 2))
-        with Tape():
-            loss = sum_all(downsample(x, 2, valid))
-        grads = backward(loss)
-        assert np.array_equal(grads[x][1], [0.0, 0.0])
-        assert np.array_equal(grads[x][0], [1.0, 1.0])  # alone in its block
-        assert np.array_equal(grads[x][2], [0.5, 0.5])
-
-    def test_mask_shape_validated(self):
-        with pytest.raises(ShapeError):
-            downsample(Tensor(rand(17, 4, 2)), 2, np.ones(3, dtype=bool))
-
-    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
-    def test_matches_a_loop_over_the_valid_rows(self, factor):
-        # every pattern of 11 rows whose validity changes at most every
-        # other row: empty, partial and full blocks, and a partial tail
-        for pattern in range(64):
-            valid = np.repeat([bool(pattern >> i & 1) for i in range(6)], 2)[:11]
-            x = Tensor(rand(100 + pattern, 11, 3))
-            with Tape():
-                pooled = downsample(x, factor, valid)
-                loss = sum_all(pooled)
-            grad = backward(loss)[x]
-            want, want_grad = loop_masked_mean(x.data, factor, valid)
-            assert np.abs(pooled.data - want).max() <= 1e-12, pattern
-            assert np.abs(grad - want_grad).max() <= 1e-12, pattern
