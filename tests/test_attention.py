@@ -35,6 +35,17 @@ class TestAttend:
         out = attend(Tensor(q), Tensor(k), Tensor(v)).data
         assert np.allclose(out, np.tile(v, (3, 1)))
 
+    def test_identical_keys_give_masked_mean_of_values(self):
+        # identical keys weigh their values equally: attending over the keys a
+        # boolean selection keeps returns the mean of the kept values
+        q = rand(3, 2, 4)
+        k = np.tile(rand(4, 1, 4), (5, 1))
+        v = rand(5, 5, 4)
+        keep = np.array([True, True, False, True, False])
+        out = attend(Tensor(q), Tensor(k[keep]), Tensor(v[keep])).data
+        want = v[keep].mean(axis=0)
+        assert np.abs(out - want).max() < 1e-12
+
     def test_against_scalar_loop_oracle(self):
         q, k, v = rand(6, 4, 2), rand(7, 4, 2), rand(8, 4, 2)
         got = attend(Tensor(q), Tensor(k), Tensor(v)).data
@@ -95,7 +106,8 @@ class TestQueryBlocks:
         grads = backward(loss)
         return [out.data] + [grads[t] for t in inputs], attend(q, k, v, heads).data
 
-    @pytest.mark.parametrize("heads", [1, 4])
+    # the "no-mask" in each id is the name the case had while attend took a key mask
+    @pytest.mark.parametrize("heads", [1, 4], ids=lambda h: f"no-mask-{h}")
     @pytest.mark.parametrize("shift", [False, True], ids=["shift-free", "shifted"])
     def test_blocks_match_the_whole_buffer(self, monkeypatch, heads, shift):
         n, e = self.T, 16
@@ -201,7 +213,8 @@ class TestPoolOrder:
 
     @pytest.mark.parametrize("s_q, s_k", [(1, 1), (1, 2), (2, 1), (2, 2)])
     @pytest.mark.parametrize("heads", [1, 4])
-    @pytest.mark.parametrize("n", [7, 8])
+    # the "no-mask" in each id is the name the case had while attention took a key mask
+    @pytest.mark.parametrize("n", [7, 8], ids=lambda n: f"no-mask-{n}")
     def test_matches_project_then_pool(self, s_q, s_k, heads, n):
         e = 8
         x = rand(70 + n, n, e)
@@ -320,6 +333,7 @@ K_ROWS = np.array([[1, 0, 0, 0], [0.5, 0, 0, 0], [-0.25, 0.5, 0, 0], [-1, 0, 0, 
                    [0.125, 0, 0, 0]])
 V_ROWS = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 1.5, -1.0, 2.0], [-3.0, 0.5, 2.5, -0.75],
                    [2.0, 2.0, -0.5, 1.0], [-1.5, -0.25, 1.0, 0.5]])
+KEPT_KEYS = np.array([False, True, True, False, True])  # drops both +-bound logits of rows 0, 1
 F32_TOLERANCE = 2e-6  # of max |v|: exp, the row sums and p @ v each round in float32
 
 
@@ -351,7 +365,10 @@ class TestShiftDecision:
             assert top * dtype(2 ** 30) < info.max  # row sums of 2^30 keys stay finite
         assert v_lo < 1e-6 and v_hi > 1e6  # ordinary values never force the shift
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # "all-keys" ids: these cases attend over every key of bounded_case, and a
+    # "masked" case over the KEPT_KEYS subset (the ids date from attend's key mask)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["all-keys-float32", "all-keys-float64"])
     def test_just_under_and_just_over_the_limit(self, dtype):
         limit = _EXP_LIMIT[np.dtype(dtype)]
         for bound, shift_free in ((limit - 0.125, True), (limit + 0.125, False)):
@@ -360,8 +377,11 @@ class TestShiftDecision:
             assert_matches_oracle(q, k, v)
 
     @pytest.mark.parametrize("dtype, bound", [(np.float32, 1024.0), (np.float64, 10240.0)])
-    def test_huge_logits_take_the_shift(self, dtype, bound):
+    @pytest.mark.parametrize("keep", [None, KEPT_KEYS], ids=["all-keys", "masked"])
+    def test_huge_logits_take_the_shift(self, dtype, bound, keep):
         q, k, v = bounded_case(dtype, bound)
+        if keep is not None:
+            k, v = k[keep], v[keep]
         assert decision(q, k, v) is False
         assert_matches_oracle(q, k, v)
 
@@ -377,7 +397,8 @@ class TestShiftDecision:
         assert decision(q, k, v) is False
         assert_matches_oracle(q, k, v)
 
-    @pytest.mark.parametrize("dtype, scale", [(np.float32, 1e-30), (np.float64, 1e-200)])
+    @pytest.mark.parametrize("dtype, scale", [(np.float32, 1e-30), (np.float64, 1e-200)],
+                             ids=["all-keys-float32-1e-30", "all-keys-float64-1e-200"])
     def test_tiny_values_take_the_shift(self, dtype, scale):
         # every logit is -(L - 1/8): unshifted, the products e^-(L - 1/8) * v would underflow
         bound = _EXP_LIMIT[np.dtype(dtype)] - 0.125
@@ -397,13 +418,17 @@ class TestShiftDecision:
             k_bad[2, 3] = bad
             assert decision(q, k_bad, v) is False
 
-    def test_gradients_on_both_sides(self):
+    @pytest.mark.parametrize("keep", [None, np.array([True, False, True, True, False, True])],
+                             ids=["all-keys", "masked"])
+    def test_gradients_on_both_sides(self, keep):
         q, k, v = rand(61, 5, 4), rand(62, 6, 4), rand(63, 6, 4)
         # large orthogonal parts push the bound past the float64 limit while the
         # logits stay near 1, so finite differences remain well conditioned
         q_far, k_far = q * 0.05, k * 0.05
         q_far[:, 0] += 40.0
         k_far[:, 1] += 40.0
+        if keep is not None:
+            k, k_far, v = k[keep], k_far[keep], v[keep]
         for qa, ka, shift_free in ((q, k, True), (q_far, k_far, False)):
             assert decision(qa, ka, v, heads=2) is shift_free
             check_gradients(lambda qt, kt, vt: sum_all(attend(qt, kt, vt, heads=2)),

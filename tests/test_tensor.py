@@ -450,8 +450,9 @@ class TestConstants:
     """Arrays handed to ops are constants: never recorded on their own,
     never given a gradient, and skipped by the products that would feed one."""
 
+    # "dense": every frame is real, the name the case had while forward took a validity mask
     @pytest.mark.parametrize("factors", list(itertools.product((1, 2), repeat=3)),
-                             ids=lambda f: "-".join(map(str, f)))
+                             ids=lambda f: "-".join(map(str, f)) + "-dense")
     def test_forward_from_array_matches_forward_from_tensor(self, factors):
         model = EncoderModel(preset("tiny"), seed=5)
         config = fixed_config(*factors, model.config.depth)
