@@ -61,8 +61,9 @@ replicate-upsamples them to T. Pooling (P x) and upsampling act on rows,
 the projections (x W) on columns, so P (x W) = (P x) W and both orders
 agree up to rounding. MViT (Fan et al. 2021) pools after projecting; with
 mean pooling the order is free, and pooling first runs every E x E product
-at the pooled length. With both factors at 1 the computation is
-bit-identical to plain attention.
+at the pooled length. At factor 1 the pools return their input and record
+nothing, so with both factors at 1 the computation and its tape are those
+of plain attention, bit for bit.
 """
 
 from __future__ import annotations
@@ -233,13 +234,8 @@ def multi_head_pooled(x, params: AttentionParams, pair: tuple) -> Tensor:
     s_k, s_q = pair
     if s_k < 1 or s_q < 1:
         raise ConfigError(f"pooling factors (s_k, s_q) must be >= 1, got {pair}")
-    x_q = downsample(x, s_q) if s_q > 1 else x
-    if s_k == s_q:
-        x_kv = x_q
-    elif s_k > 1:
-        x_kv = downsample(x, s_k)
-    else:
-        x_kv = x
+    x_q = downsample(x, s_q)
+    x_kv = x_q if s_k == s_q else downsample(x, s_k)
     with mac_scope("attn_proj"):
         q = matmul(x_q, params.w_q)
         k = matmul(x_kv, params.w_k)
@@ -248,4 +244,4 @@ def multi_head_pooled(x, params: AttentionParams, pair: tuple) -> Tensor:
         out = attend(q, k, v, params.heads)
     with mac_scope("attn_proj"):
         out = matmul(out, params.w_o)
-    return upsample(out, s_q, truncate_to=n) if s_q > 1 else out
+    return upsample(out, s_q, truncate_to=n)

@@ -147,9 +147,9 @@ def _head_from(extras: dict, model_dim: int, path, vocab: int | None = None):
 
 def _labeled_datasets(rc: RunConfig, model_dim: int):
     if rc.dataset == "synthetic-symbols":
-        train = SymbolFeatureDataset(rc.dataset_size, model_dim, vocab=rc.vocab_size,
+        train = SymbolFeatureDataset(rc.count("dataset_size"), model_dim, vocab=rc.vocab_size,
                                      seed=rc.seed, split="train")
-        val = SymbolFeatureDataset(rc.val_size, model_dim, vocab=rc.vocab_size,
+        val = SymbolFeatureDataset(rc.count("val_size"), model_dim, vocab=rc.vocab_size,
                                    seed=rc.seed, split="val")
         return train, val, rc.vocab_size, None
     if rc.dataset == "synthetic-sines":
@@ -178,7 +178,7 @@ def cmd_pretrain(args) -> int:
     if rc.dataset != "synthetic-sines":
         raise ConfigError(f"pretrain supports dataset=synthetic-sines, got {rc.dataset!r}")
     model, extras, _ = _model_from(rc)
-    dataset = SineFeatureDataset(rc.dataset_size, model.config.model_dim, seed=rc.seed)
+    dataset = SineFeatureDataset(rc.count("dataset_size"), model.config.model_dim, seed=rc.seed)
     plan = _plan(rc, "masked_regression", model.config.depth)
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)
@@ -234,10 +234,10 @@ def cmd_sweep(args) -> int:
     triplets = list(STANDARD_SWEEP) + [t for t in rc.sweep_configs.split(",") if t.strip()]
     configs = [fixed_config(*parse_triplet(t), model.config.depth) for t in triplets]
     if head is not None:
-        dataset = SymbolFeatureDataset(rc.utterances, model.config.model_dim,
+        dataset = SymbolFeatureDataset(rc.count("utterances"), model.config.model_dim,
                                        vocab=vocab, seed=rc.seed)
     else:
-        dataset = SineFeatureDataset(rc.utterances, model.config.model_dim, seed=rc.seed,
+        dataset = SineFeatureDataset(rc.count("utterances"), model.config.model_dim, seed=rc.seed,
                                      min_frames=rc.frames, max_frames=rc.frames)
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)

@@ -10,10 +10,11 @@ Pipeline for one forward pass at compression (s_f, per-layer (s_k, s_q)):
 Both mean pools, the squeeze by s_f and each layer's query and key-value
 pooling, are ``pooling.downsample``. The head runs on the T' = ceil(T/s_f)
 squeezed rows, which equals running it after the row-copying upsample.
-The squeeze path is skipped entirely at s_f = 1, so a (1,1,1) pass is a
-plain post-LN transformer encoder. The upsample head is the only
-parameter the squeeze mechanism adds, and it exists once for all squeeze
-factors; pooling factors never change the parameter count.
+At s_f = 1 the squeeze pool returns its input and the head is skipped,
+so a (1,1,1) pass is a plain post-LN transformer encoder. The upsample
+head is the only parameter the squeeze mechanism adds, and it exists
+once for all squeeze factors; pooling factors never change the
+parameter count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
-    concat,
     conv1d,
     gelu,
     layer_norm,
@@ -261,8 +261,6 @@ class EncoderModel:
             self._layers.append(_Layer(*layer[4:]))
         self._fe_convs = [(p[f"fe.conv{i}.weight"], stride)
                           for i, (_, stride, _) in enumerate(self.fe.layers)]
-        pad = (config.pos_conv_kernel - 1) // 2
-        self._pos_pad = as_tensor(np.zeros((pad, config.model_dim), dtype=self.dtype))
 
     def astype(self, dtype) -> "EncoderModel":
         return EncoderModel(self.config, dtype=dtype,
@@ -297,10 +295,11 @@ class EncoderModel:
         return x
 
     def _positional(self, x: Tensor) -> Tensor:
-        padded = concat([self._pos_pad, x, self._pos_pad])
+        """x + GELU(grouped conv of x), the conv zero-padded to keep x's length."""
+        cfg = self.config
         with mac_scope("fe"):
-            conv = conv1d(padded, self.params["pos_conv.weight"],
-                          stride=1, groups=self.config.pos_conv_groups)
+            conv = conv1d(x, self.params["pos_conv.weight"], groups=cfg.pos_conv_groups,
+                          pad=(cfg.pos_conv_kernel - 1) // 2)
         return add(x, gelu(conv))
 
     def forward(self, features, config: CompressionConfig) -> Tensor:
@@ -315,9 +314,7 @@ class EncoderModel:
             raise ShapeError(f"features must be T x {cfg.model_dim}, got {shape}")
         config.check_fits(cfg)
         t_in = shape[0]
-        if config.s_f > 1:
-            x = downsample(x, config.s_f)
-        x = self._positional(x)
+        x = self._positional(downsample(x, config.s_f))
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
         for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):

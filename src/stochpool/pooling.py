@@ -6,6 +6,8 @@ zero-padded, which would bias the final frame toward zero). ``upsample``
 repeats each row ``factor`` times and optionally truncates so callers can
 restore an exact pre-pooling length. Both are linear, have exact
 adjoints, and are inverse in the order downsample(upsample(y)) == y.
+At factor 1 each returns its input itself and records nothing on the
+tape (``upsample`` when it does not truncate), so callers need no branch.
 
 Every block sum (``downsample`` and ``upsample``'s backward) goes through
 one reshape-based helper, ``_block_sums``, which adds a block's rows in
@@ -52,7 +54,7 @@ def downsample(x, factor) -> Tensor:
     if xd.ndim != 2 or xd.shape[0] < 1:
         raise ShapeError(f"downsample requires a non-empty N x D tensor, got {xd.shape}")
     if factor == 1:
-        return _identity(x)
+        return x
     n = xd.shape[0]
     counts = np.minimum(factor, n - np.arange(0, n, factor)).astype(xd.dtype)
     # mean as base row + mean of deviations from it: bit-exact on blocks of
@@ -83,7 +85,7 @@ def upsample(x, factor, truncate_to=None) -> Tensor:
                 f"truncate_to={truncate_to} outside [1, {full}] for {n} rows at factor {factor}"
             )
     if factor == 1 and (truncate_to is None or truncate_to == n):
-        return _identity(x)
+        return x
     length = full if truncate_to is None else truncate_to
     out = xd.repeat(factor, axis=0)[:length]
 
@@ -95,9 +97,3 @@ def upsample(x, factor, truncate_to=None) -> Tensor:
 
     return _wrap(out, (x,), bwd)
 
-
-def _identity(x: Tensor) -> Tensor:
-    def bwd(g):
-        return (g,)
-
-    return _wrap(x.data, (x,), bwd)

@@ -54,6 +54,13 @@ class RunConfig:
             raise ConfigError(f"{name} must not be empty")
         return values
 
+    def count(self, name: str) -> int:
+        """The value of the integer key ``name``, which must be >= 1."""
+        value = getattr(self, name)
+        if value < 1:
+            raise ConfigError(f"config key {name!r} must be >= 1, got {value}")
+        return value
+
     def to_text(self) -> str:
         lines = []
         for f in fields(self):

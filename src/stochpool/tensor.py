@@ -24,10 +24,10 @@ The row-wise ops write into the buffers they return or keep for their
 backward rather than into fresh temporaries: ``gelu`` fills two,
 ``layer_norm`` centres each row once, and both backwards run in two
 buffers, rounding exactly as their formulas written out do. ``conv1d``
-is one GEMM per group over a strided view of its input (every output
-frame's window is one row of the view); the only window copy is the
-contiguous one packed for each GEMM, as overlapping rows are not a valid
-BLAS matrix.
+is one GEMM per group over a strided view of its input, laid out
+group-major and zero-padded (``pad``) in one buffer: every output frame's
+window is one row of the view. The only window copy is the contiguous
+one packed for each GEMM, as overlapping rows are not a valid BLAS matrix.
 
 Dispatch conventions. An op runs once per layer per utterance, and at
 desk scale its numpy work is often shorter than its Python work, so the
@@ -405,28 +405,6 @@ def gelu(a) -> Tensor:
     return _wrap(y, (a,), bwd)
 
 
-def concat(parts) -> Tensor:
-    """Concatenate 2-D tensors along rows."""
-    parts = [p if type(p) is Tensor else as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat requires at least one tensor")
-    arrays = []
-    offsets = [0]
-    for p in parts:
-        d = p.data
-        if d.ndim != 2 or d.shape[1] != parts[0].data.shape[1]:
-            raise ShapeError(
-                f"concat shapes disagree on axis 1: {[tuple(p.shape) for p in parts]}"
-            )
-        arrays.append(d)
-        offsets.append(offsets[-1] + d.shape[0])
-
-    def bwd(g):
-        return tuple([g[offsets[i]:offsets[i + 1], :] for i in range(len(parts))])
-
-    return _wrap(np.concatenate(arrays, axis=0), tuple(parts), bwd)
-
-
 def sum_all(a) -> Tensor:
     """Sum of all entries as a scalar tensor."""
     a = a if type(a) is Tensor else as_tensor(a)
@@ -483,19 +461,20 @@ def layer_norm(a, gamma, beta) -> Tensor:
     return _wrap(out, (a, gamma, beta), bwd)
 
 
-def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
+def conv1d(a, w, stride: int = 1, groups: int = 1, pad: int = 0) -> Tensor:
     """Strided grouped 1-D convolution over time-major input.
 
-    ``a`` is (L, C_in), ``w`` is (C_out, C_in // groups, k); output length
-    is floor((L - k) / stride) + 1. No implicit padding.
+    ``a`` is (L, C_in), ``w`` is (C_out, C_in // groups, k); ``pad`` zero
+    frames go before and after the input, so the output length is
+    floor((L + 2 pad - k) / stride) + 1.
 
-    With the input laid out group-major as (G, L, C_in/G), output frame t
-    of a group reads k * C_in/G consecutive values from frame t * stride,
-    so the windows are the rows of a strided view of the input and each
-    group's forward is one GEMM with tap-major weights. The backward gets
-    dw from the same view, one GEMM per group, and scatters dx with k
-    strided adds over all channels; for a constant input it returns dw
-    only.
+    With the padded input laid out group-major as (G, L + 2 pad, C_in/G),
+    output frame t of a group reads k * C_in/G consecutive values from
+    frame t * stride, so the windows are the rows of a strided view of the
+    input and each group's forward is one GEMM with tap-major weights. The
+    backward gets dw from the same view, one GEMM per group, and scatters
+    dx with k strided adds over all channels, returning the rows of the
+    real frames; for a constant input it returns dw only.
     """
     a = a if type(a) is Tensor else as_tensor(a)
     w = w if type(w) is Tensor else as_tensor(w)
@@ -503,12 +482,13 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
     if ad.ndim != 2 or wd.ndim != 3:
         raise ShapeError(f"conv1d requires (L, C_in) input and (C_out, C_in/g, k) weights, "
                          f"got {ad.shape} and {wd.shape}")
-    stride = int(stride)
-    groups = int(groups)
+    stride, groups, pad = int(stride), int(groups), int(pad)
     c_out, c_in_g, k = wd.shape
-    length, c_in = ad.shape
-    if stride < 1 or k < 1:
-        raise ConfigError(f"conv1d stride and kernel must be >= 1, got stride={stride}, k={k}")
+    n, c_in = ad.shape
+    length = n + 2 * pad
+    if stride < 1 or k < 1 or pad < 0:
+        raise ConfigError(f"conv1d stride and kernel must be >= 1 and pad >= 0, "
+                          f"got stride={stride}, k={k}, pad={pad}")
     if groups < 1 or c_in % groups or c_out % groups:
         raise ConfigError(f"conv1d groups={groups} must divide C_in={c_in} and C_out={c_out}")
     if c_in_g != c_in // groups:
@@ -521,9 +501,14 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
     if macs is not None:
         macs.add(l_out * c_out * c_in_g * k)
 
-    # group-major input (G, L, C_in_g): a view when groups == 1, else one copy
+    # group-major input (G, L + 2 pad, C_in_g): a view when groups == 1 and
+    # pad == 0, else one copy, into a zeroed buffer when padding
     co_g = c_out // groups
-    xg = np.ascontiguousarray(ad.reshape(length, groups, c_in_g).transpose(1, 0, 2))
+    if pad:
+        xg = np.zeros((groups, length, c_in_g), dtype=ad.dtype)
+        xg[:, pad:pad + n] = _split_groups(ad, groups)
+    else:
+        xg = np.ascontiguousarray(_split_groups(ad, groups))
     item = xg.itemsize
     # the windows as rows of a read-only strided view over xg's buffer
     rows = np.ndarray((groups, l_out, k * c_in_g), xg.dtype, xg, 0,
@@ -557,6 +542,6 @@ def conv1d(a, w, stride: int = 1, groups: int = 1) -> Tensor:
         taps = contrib.reshape(l_out, groups, k, c_in_g)
         for j in range(k):
             dx[j:j + stride * (l_out - 1) + 1:stride] += taps[:, :, j]
-        return dx.reshape(length, c_in), dw
+        return dx.reshape(length, c_in)[pad:pad + n], dw
 
     return _wrap(out, (a, w), bwd)

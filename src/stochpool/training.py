@@ -70,8 +70,10 @@ class TrainPlan:
             raise ConfigError("deterministic mode requires a fixed CompressionConfig")
         if self.mode == "stochastic" and self.sets is None:
             raise ConfigError("stochastic mode requires FactorSets to sample from")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigError("steps must be >= 0 and batch_size >= 1")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.learning_rate < np.inf:  # NaN fails too
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.eval_interval < 0:
@@ -291,6 +293,7 @@ def _run_loop(model, aux_params, plan, dataset, loss_fn, phase, val_fn=None):
             loss_value = item_loss.item()
             grads = backward(item_loss)
             _accumulate(grad_total, trainable, grads)
+            del grads, item_loss  # free this utterance's tape and gradients before the next forward
             backward_s += time.perf_counter() - tock
             loss_total += loss_value
             used += 1

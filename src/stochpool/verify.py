@@ -25,7 +25,6 @@ from .tensor import (
     Tensor,
     add,
     backward,
-    concat,
     conv1d,
     count_macs,
     gelu,
@@ -121,16 +120,17 @@ def _check_op_gradients(seed):
     _rand(rng, 3, 3), _rand(rng, 3, 3)  # the retired sub case's draws: later inputs stay
     cases.append(("mul", lambda a, b: sum_all(mul(a, b)), [_rand(rng, 4, 4), _rand(rng, 4, 4)]))
     _rand(rng, 3, 4)  # the retired scale case's draw
+    cases.append(("gelu", lambda a: sum_all(gelu(a)), [_rand(rng, 4, 4)]))
+    _rand(rng, 2, 3), _rand(rng, 4, 3)  # the retired concat case's draws
     cases += [
-        ("gelu", lambda a: sum_all(gelu(a)), [_rand(rng, 4, 4)]),
-        ("concat", lambda a, b: sum_all(mul(concat([a, b]), concat([a, b]))),
-         [_rand(rng, 2, 3), _rand(rng, 4, 3)]),
         ("layer_norm", lambda a, g, b: sum_all(mul(layer_norm(a, g, b), target)),
          [_rand(rng, 4, 6), 1.0 + 0.1 * _rand(rng, 6), 0.1 * _rand(rng, 6)]),
         ("conv1d", lambda a, w: sum_all(mul(conv1d(a, w, stride=2), conv1d(a, w, stride=2))),
          [_rand(rng, 9, 4), _rand(rng, 6, 4, 3)]),
         ("conv1d_grouped", lambda a, w: sum_all(conv1d(a, w, stride=1, groups=2)),
          [_rand(rng, 7, 4), _rand(rng, 4, 2, 3)]),
+        ("conv1d_padded", lambda a, w: sum_all(mul(conv1d(a, w, groups=2, pad=2), target)),
+         [_rand(rng, 4, 4), _rand(rng, 6, 2, 5)]),
     ]
     worst = 0.0
     for name, fn, arrays in cases:

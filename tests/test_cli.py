@@ -172,6 +172,17 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("finetune", "val_size", -1), ("finetune", "dataset_size", 0),
+        ("sweep", "utterances", 0), ("finetune", "batch_size", 0), ("finetune", "steps", -1)])
+    def test_bad_size_exits_two_naming_key_and_value(self, tmp_path, capsys, command, key,
+                                                     value):
+        keys = {"dataset": "synthetic-symbols", "steps": 3, key: value}
+        cfg = write_cfg(tmp_path / "run.cfg", output_dir=tmp_path / "out", **keys)
+        assert run(command, str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert key in err and f"got {value}" in err and "Traceback" not in err
+
 
 def _unreadable_argv(tmp_path, bad, kind):
     """Command line that reaches the unreadable file ``bad`` as input ``kind``."""

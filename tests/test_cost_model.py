@@ -176,6 +176,7 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(model, [], ds)
 
+    @pytest.mark.timing
     def test_analytic_columns_reproducible_and_measured_close(self):
         model = EncoderModel(preset("tiny"), seed=0)
         ds = SineFeatureDataset(2, 64, seed=3, min_frames=600, max_frames=600)

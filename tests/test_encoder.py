@@ -20,7 +20,7 @@ from stochpool.encoder import (
 from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.stochastic import Rng, fixed_config
-from stochpool.tensor import Tensor, add, concat, conv1d, count_macs, gelu, layer_norm, matmul
+from stochpool.tensor import Tensor, add, conv1d, count_macs, gelu, layer_norm, matmul
 from stochpool.training import make_head
 
 
@@ -100,9 +100,9 @@ def plain_post_ln_encoder(model, feats):
     p = model.params
     cfg = model.config
     pad = (cfg.pos_conv_kernel - 1) // 2
-    zeros = Tensor(np.zeros((pad, cfg.model_dim)))
+    zeros = np.zeros((pad, cfg.model_dim))
     x = Tensor(feats)
-    pos = conv1d(concat([zeros, x, zeros]), p["pos_conv.weight"],
+    pos = conv1d(np.concatenate([zeros, feats, zeros]), p["pos_conv.weight"],
                  stride=1, groups=cfg.pos_conv_groups)
     x = add(x, gelu(pos))
     x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])

@@ -50,6 +50,16 @@ class TestUpsample:
             upsample(Tensor([[1.0], [2.0]]), 2, truncate_to=5)
 
 
+class TestFactorOne:
+    def test_returns_its_input_and_records_nothing(self):
+        t = Tensor(rand(2, 6, 3))
+        with Tape() as tape:
+            assert downsample(t, 1) is t
+            assert upsample(t, 1) is t
+            assert upsample(t, 1, truncate_to=6) is t
+        assert tape._records == []
+
+
 class TestOperatorLaws:
     def test_length_law(self):
         for n in range(1, 65):

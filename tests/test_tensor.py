@@ -15,7 +15,6 @@ from stochpool.tensor import (
     Tensor,
     add,
     backward,
-    concat,
     conv1d,
     count_macs,
     gelu,
@@ -96,6 +95,8 @@ class TestElementwiseSuite:
             conv1d(x, w, stride=0)
         with pytest.raises(ConfigError):
             conv1d(x, Tensor(np.ones((2, 2, 0))))
+        with pytest.raises(ConfigError, match="pad"):
+            conv1d(x, w, pad=-1)
 
     def test_conv1d_group_validation(self):
         x = Tensor(np.ones((8, 4)))
@@ -106,11 +107,6 @@ class TestElementwiseSuite:
 
     def test_gelu_zero(self):
         assert gelu(Tensor([[0.0]])).data[0, 0] == 0.0
-
-    def test_concat_and_slice(self):
-        a, b = rand(17, 2, 3), rand(18, 4, 3)
-        joined = concat([Tensor(a), Tensor(b)])
-        assert np.array_equal(joined.data[2:6], b)
 
     def test_no_general_broadcasting(self):
         with pytest.raises(ShapeError):
@@ -388,6 +384,26 @@ class TestConv1dOracle:
         assert got.shape == want.shape == ((length - k) // stride + 1, c_out)
         tol = 1e-5 if dtype == np.float32 else 1e-12
         assert np.abs(got.data - want).max() < tol
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pad_equals_explicit_zero_rows(self, groups, stride, dtype):
+        """pad=p is bit for bit the conv over p zero rows on each side: the
+        output, dw, and dx as the real rows of the padded input's gradient."""
+        length, pad, k = 20, 3, 7
+        x = rand(800 + groups, length, 8).astype(dtype)
+        w = rand(810 + stride, 8, 8 // groups, k).astype(dtype)
+        zeros = np.zeros((pad, 8), dtype=dtype)
+        padded = np.concatenate([zeros, x, zeros])
+        got = conv1d(x, w, stride, groups, pad=pad)
+        want = conv1d(padded, w, stride, groups)
+        assert got.dtype == dtype and np.array_equal(got.data, want.data)
+        up = rand(820, *want.shape).astype(dtype)
+        dx, dw = tape_grads(lambda a, b: conv1d(a, b, stride, groups, pad=pad), [x, w], up)
+        d_padded, want_dw = tape_grads(lambda a, b: conv1d(a, b, stride, groups), [padded, w], up)
+        assert np.array_equal(dw, want_dw)
+        assert np.array_equal(dx, d_padded[pad:pad + length])
 
     @pytest.mark.parametrize("stride,groups", [(2, 1), (3, 3), (2, 2), (1, 4)])
     def test_dx_and_dw_pass_fd(self, stride, groups):

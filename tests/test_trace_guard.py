@@ -20,7 +20,7 @@ from stochpool.stochastic import fixed_config
 from stochpool.training import TrainPlan, evaluate, finetune, make_head, pretrain_toy
 
 OPS = (
-    (tensor, ("matmul", "add", "mul", "gelu", "layer_norm", "concat", "conv1d", "sum_all",
+    (tensor, ("matmul", "add", "mul", "gelu", "layer_norm", "conv1d", "sum_all",
               "mac_scope")),
     (attention, ("attend", "multi_head_pooled")),
     (pooling, ("downsample", "upsample")),
