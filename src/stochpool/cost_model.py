@@ -15,8 +15,9 @@ attention projects rows already pooled. Softmax, layer norm, activations
 and pooling are excluded from both the analytic model and the instrumented
 counter; they do show up in measured wall time, and that gap is reported
 rather than hidden. Timing uses the median over repeats with an excluded
-warm-up pass, runs strictly serially, and is done on a float32 copy of
-the model.
+warm-up pass, interleaves the configurations it compares, retakes passes
+the host descheduled, runs strictly serially, and is done on a float32
+copy of the model.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ CSV_HEADER = ("config,preset,frames,macs_total,macs_attn_scores,macs_attn_proj,"
 MAC_FIELDS = ("macs_fe", "macs_attn_proj", "macs_attn_scores", "macs_ffn", "macs_upsample")
 
 MIN_TIMER_TICKS = 100
+# off-CPU share (wall minus thread CPU time, over wall) above which a timed
+# pass counts as descheduled and is retaken, at most RETAKES times
+MAX_OFF_CPU = 0.1
+RETAKES = 2
 
 
 @dataclass
@@ -215,15 +220,23 @@ def _pinned_to_one_worker():
         set_threads(previous)
 
 
-def measure(model: EncoderModel, config: CompressionConfig, dataset,
-            repeats: int = 5, head: dict | None = None) -> CostReport:
-    """Median wall time of float32 forward passes over a feature dataset.
+def measure(model: EncoderModel, configs, dataset,
+            repeats: int = 5, head: dict | None = None) -> list:
+    """Median wall time of float32 forward passes over a feature dataset,
+    one CostReport per configuration.
 
-    Per utterance: one excluded warm-up pass, then ``repeats`` timed runs;
-    medians (and min/max) are summed over the dataset. Decoding (output
-    head plus greedy collapse) is timed separately when a head is given.
-    Runs strictly serially in the calling thread.
+    Per utterance: one excluded warm-up pass per configuration, then
+    ``repeats`` rounds that each time one pass of every configuration in
+    turn, so a change in host speed falls on all of them alike rather
+    than on whichever one is being timed; medians (and min/max) are
+    summed over the dataset. A pass the host descheduled for more than
+    ``MAX_OFF_CPU`` of its wall time is retaken (at most ``RETAKES``
+    times) and the fastest attempt is the sample, as time off the CPU
+    measures the host's other work, not the model.
+    Decoding (output head plus greedy collapse) is timed separately when a
+    head is given. Runs strictly serially in the calling thread.
     """
+    configs = list(configs)
     if repeats < 3:
         raise ConfigError(f"repeats must be >= 3, got {repeats}")
     if len(dataset) < 1:
@@ -233,53 +246,56 @@ def measure(model: EncoderModel, config: CompressionConfig, dataset,
     if head is not None:
         head32 = {name: Tensor(t.data, dtype=np.float32) for name, t in head.items()}
     tick_ns = time.get_clock_info("perf_counter").resolution * 1e9
-    frames_total = 0
-    med_sum = lo_sum = hi_sum = 0.0
-    decode_meds = []
-    flagged = 0
+    reports = [CostReport(c.describe(), preset="custom", frames=0) for c in configs]
+    sums = np.zeros((len(configs), 3))  # per config: median, min, max in ns
+    decode_meds = [[] for _ in configs]
     gc_was_enabled = gc.isenabled()
     gc.disable()  # collector pauses otherwise pollute per-repeat samples
     try:
         with _pinned_to_one_worker():
             for i in range(len(dataset)):
                 feats = Tensor(dataset[i].features, dtype=np.float32)
-                frames_total += feats.shape[0]
-                bench.forward(feats, config)  # warm-up, excluded
-                times = []
+                encoded = [bench.forward(feats, c) for c in configs]  # warm-up, excluded
+                times = [[] for _ in configs]
                 for _ in range(repeats):
-                    t0 = time.perf_counter_ns()
-                    encoded = bench.forward(feats, config)
-                    times.append(time.perf_counter_ns() - t0)
-                med, lo, hi = _median_min_max(times)
-                if med < MIN_TIMER_TICKS * tick_ns:
-                    flagged += 1
-                med_sum += med
-                lo_sum += lo
-                hi_sum += hi
-                if head32 is not None:
-                    decode_times = []
-                    for _ in range(repeats):
-                        t0 = time.perf_counter_ns()
-                        greedy_decode(apply_head(encoded, head32))
-                        decode_times.append(time.perf_counter_ns() - t0)
-                    decode_meds.append(float(np.median(decode_times)))
+                    for j, config in enumerate(configs):
+                        walls = []
+                        for _ in range(1 + RETAKES):
+                            t0, c0 = time.perf_counter_ns(), time.thread_time_ns()
+                            encoded[j] = bench.forward(feats, config)
+                            walls.append(time.perf_counter_ns() - t0)
+                            if walls[-1] - (time.thread_time_ns() - c0) <= MAX_OFF_CPU * walls[-1]:
+                                break
+                        times[j].append(min(walls))
+                for j, report in enumerate(reports):
+                    med_lo_hi = _median_min_max(times[j])
+                    sums[j] += med_lo_hi
+                    report.frames += feats.shape[0]
+                    if med_lo_hi[0] < MIN_TIMER_TICKS * tick_ns:
+                        report.timer_flagged += 1
+                    if head32 is not None:
+                        decode_times = []
+                        for _ in range(repeats):
+                            t0 = time.perf_counter_ns()
+                            greedy_decode(apply_head(encoded[j], head32))
+                            decode_times.append(time.perf_counter_ns() - t0)
+                        decode_meds[j].append(float(np.median(decode_times)))
     finally:
         if gc_was_enabled:
             gc.enable()
-    report = CostReport(config.describe(), preset="custom", frames=frames_total)
-    report.wall_ms_median = med_sum / 1e6
-    report.wall_ms_min = lo_sum / 1e6
-    report.wall_ms_max = hi_sum / 1e6
-    report.timer_flagged = flagged
-    if decode_meds:
-        report.decode_ms_median = float(sum(decode_meds)) / 1e6
-    return report
+    for report, (med, lo, hi), decoded in zip(reports, sums, decode_meds):
+        report.wall_ms_median, report.wall_ms_min, report.wall_ms_max = (
+            float(med) / 1e6, float(lo) / 1e6, float(hi) / 1e6)
+        if decoded:
+            report.decode_ms_median = float(sum(decoded)) / 1e6
+    return reports
 
 
 def sweep(model: EncoderModel, configs, dataset, preset: str = "custom",
           repeats: int = 5, head: dict | None = None, measure_time: bool = True) -> list:
     """One CostReport per configuration over a feature dataset: analytic
-    MACs, optional timing, optional greedy symbol error when the dataset is
+    MACs, optional timing (all configurations interleaved, see
+    ``measure``), optional greedy symbol error when the dataset is
     labeled."""
     configs = list(configs)
     if not configs:
@@ -289,12 +305,12 @@ def sweep(model: EncoderModel, configs, dataset, preset: str = "custom",
     utterances = [dataset[i] for i in range(len(dataset))]
     frame_lengths = [utt.features.shape[0] for utt in utterances]
     labeled = all(utt.labels is not None for utt in utterances)
+    timed = measure(model, configs, dataset, repeats=repeats, head=head) if measure_time else None
     reports = []
-    for config in configs:
+    for j, config in enumerate(configs):
         report = analytic_cost_dataset(config, model.config, frame_lengths, preset=preset)
-        if measure_time:
-            timed = measure(model, config, dataset, repeats=repeats, head=head)
-            report = replace(timed, preset=preset,
+        if timed is not None:
+            report = replace(timed[j], preset=preset,
                              **{name: getattr(report, name) for name in MAC_FIELDS})
         if labeled and head is not None:
             report.symbol_error = evaluate(model, head, config, dataset).symbol_error

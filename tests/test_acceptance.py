@@ -302,10 +302,8 @@ def test_criterion_5_cost_model_exactness_and_ordering():
 
     small = EncoderModel(preset("small"), seed=0)
     dataset = SineFeatureDataset(6, 128, seed=0, min_frames=1000, max_frames=1000)
-    walls = []
-    for trip in STANDARD:
-        rep = measure(small, fixed_config(*trip, small.config.depth), dataset, repeats=5)
-        walls.append(rep.wall_ms_median)
+    configs = [fixed_config(*trip, small.config.depth) for trip in STANDARD]
+    walls = [rep.wall_ms_median for rep in measure(small, configs, dataset, repeats=5)]
     assert all(a > b for a, b in zip(walls, walls[1:])), f"wall ordering broke: {walls}"
     report(5, "cost-exactness-and-ordering", time.perf_counter() - started, 120,
            "wall ms " + " > ".join(f"{w:.0f}" for w in walls))

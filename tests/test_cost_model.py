@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 
 from stochpool.cost_model import (
     CSV_HEADER,
+    RETAKES,
     CostReport,
     _openblas_threads,
     _pinned_to_one_worker,
@@ -125,12 +127,12 @@ class TestMeasure:
         model = EncoderModel(preset("tiny"), seed=0)
         ds = SineFeatureDataset(1, 64, seed=0, min_frames=20, max_frames=20)
         with pytest.raises(ConfigError):
-            measure(model, fixed_config(1, 1, 1, 2), ds, repeats=2)
+            measure(model, [fixed_config(1, 1, 1, 2)], ds, repeats=2)
 
     def test_median_within_min_max(self):
         model = EncoderModel(preset("tiny"), seed=0)
         ds = SineFeatureDataset(2, 64, seed=0, min_frames=30, max_frames=30)
-        report = measure(model, fixed_config(2, 2, 2, 2), ds, repeats=5)
+        (report,) = measure(model, [fixed_config(2, 2, 2, 2)], ds, repeats=5)
         assert report.wall_ms_min <= report.wall_ms_median <= report.wall_ms_max
         assert report.frames == 60
 
@@ -140,8 +142,26 @@ class TestMeasure:
         times = {}
         for frames in (250, 500, 1000, 2000):
             ds = SineFeatureDataset(1, 64, seed=0, min_frames=frames, max_frames=frames)
-            times[frames] = measure(model, config, ds, repeats=3).wall_ms_median
+            times[frames] = measure(model, [config], ds, repeats=3)[0].wall_ms_median
         assert times[2000] > 2.0 * times[1000]
+
+    @pytest.mark.parametrize("off_cpu", [False, True])
+    def test_configs_interleaved_and_descheduled_passes_retaken(self, monkeypatch, off_cpu):
+        model = EncoderModel(preset("tiny"), seed=0)
+        ds = SineFeatureDataset(2, 64, seed=0, min_frames=20, max_frames=20)
+        configs = [fixed_config(1, 1, 1, 2), fixed_config(2, 2, 2, 2)]
+        seen = []
+        forward = EncoderModel.forward
+        monkeypatch.setattr(EncoderModel, "forward",
+                            lambda self, x, c: seen.append(c) or forward(self, x, c))
+        # a thread clock that never advances reads as a pass spent off the CPU;
+        # one that keeps pace with the wall clock, as a pass that kept it
+        monkeypatch.setattr(time, "thread_time_ns",
+                            (lambda: 0) if off_cpu else time.perf_counter_ns)
+        measure(model, configs, ds, repeats=3)
+        passes = 1 + RETAKES if off_cpu else 1
+        round_ = [c for c in configs for _ in range(passes)]
+        assert seen == (configs + 3 * round_) * 2
 
     def test_empty_dataset_rejected(self):
         class Empty:
@@ -150,7 +170,7 @@ class TestMeasure:
 
         model = EncoderModel(preset("tiny"), seed=0)
         with pytest.raises(InputError):
-            measure(model, fixed_config(1, 1, 1, 2), Empty(), repeats=3)
+            measure(model, [fixed_config(1, 1, 1, 2)], Empty(), repeats=3)
 
     def test_blas_pinned_inside_and_restored_after(self):
         blas = _openblas_threads()
