@@ -147,11 +147,12 @@ def _head_from(extras: dict, model_dim: int, path, vocab: int | None = None):
 
 def _labeled_datasets(rc: RunConfig, model_dim: int):
     if rc.dataset == "synthetic-symbols":
-        train = SymbolFeatureDataset(rc.count("dataset_size"), model_dim, vocab=rc.vocab_size,
+        vocab = rc.count("vocab_size")
+        train = SymbolFeatureDataset(rc.count("dataset_size"), model_dim, vocab=vocab,
                                      seed=rc.seed, split="train")
-        val = SymbolFeatureDataset(rc.count("val_size"), model_dim, vocab=rc.vocab_size,
+        val = SymbolFeatureDataset(rc.count("val_size"), model_dim, vocab=vocab,
                                    seed=rc.seed, split="val")
-        return train, val, rc.vocab_size, None
+        return train, val, vocab, None
     if rc.dataset == "synthetic-sines":
         raise ConfigError("finetune needs a labeled dataset (synthetic-symbols or manifest)")
     train = ManifestDataset(rc.dataset)
@@ -226,7 +227,7 @@ STANDARD_SWEEP = ("1-1-1", "2-1-1", "2-2-1", "2-2-2")
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
     model, extras, meta = _model_from(rc)
-    vocab = meta.get("vocab_size", rc.vocab_size)
+    vocab = meta["vocab_size"] if "vocab_size" in meta else rc.count("vocab_size")
     if "vocab_size" in meta and (type(vocab) is not int or vocab < 1):
         raise InputError(f"{rc.checkpoint}: meta vocab_size must be a positive integer, "
                          f"got {vocab!r}")

@@ -174,7 +174,8 @@ class TestPretrainCommand:
 
     @pytest.mark.parametrize("command,key,value", [
         ("finetune", "val_size", -1), ("finetune", "dataset_size", 0),
-        ("sweep", "utterances", 0), ("finetune", "batch_size", 0), ("finetune", "steps", -1)])
+        ("sweep", "utterances", 0), ("finetune", "batch_size", 0), ("finetune", "steps", -1),
+        ("finetune", "vocab_size", 0)])
     def test_bad_size_exits_two_naming_key_and_value(self, tmp_path, capsys, command, key,
                                                      value):
         keys = {"dataset": "synthetic-symbols", "steps": 3, key: value}

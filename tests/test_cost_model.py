@@ -154,9 +154,9 @@ class TestMeasure:
         forward = EncoderModel.forward
         monkeypatch.setattr(EncoderModel, "forward",
                             lambda self, x, c: seen.append(c) or forward(self, x, c))
-        # a thread clock that never advances reads as a pass spent off the CPU;
+        # a CPU clock that never advances reads as a pass spent off the CPU;
         # one that keeps pace with the wall clock, as a pass that kept it
-        monkeypatch.setattr(time, "thread_time_ns",
+        monkeypatch.setattr(time, "process_time_ns",
                             (lambda: 0) if off_cpu else time.perf_counter_ns)
         measure(model, configs, ds, repeats=3)
         passes = 1 + RETAKES if off_cpu else 1
