@@ -15,26 +15,8 @@ holds the whole logits matrix. When all queries fit one block (in float32
 at H = 4, whenever Tq Tk <= 2^18) that block is the whole buffer. The op
 reports its multiply-accumulates to the active counter like ``matmul``
 does, along with its call, whether it skipped the max shift below and its
-query block count. Single-head attention is the H = 1 case.
-
-A call without a tape whose H Tq Tk logits reach ``_SPLIT_LOGITS`` (2^20)
-splits its heads in two when the process may run on two or more CPUs: a
-``threading.Thread`` walks the blocks for heads [H/2, H) while the calling
-thread walks them for [0, H/2), joins it and re-raises what it raised.
-numpy releases the GIL inside matmul, exp, the reduce and the divide, so the
-halves run in parallel. The new thread first restricts itself to the
-process's CPUs other than the caller's: a kernel that does not balance load
-(a cpuset with ``sched_load_balance`` 0, as on some VM guests) starts it on
-its creator's CPU and keeps it there, where the halves take turns. Each
-half writes only its heads' slices of the output, the row sums and the
-block buffer, and every per-head operation gets exactly the operands it
-gets on one thread, so the result is the same bit for bit. Starting and
-joining the thread cost about 0.2 ms on a 2-vCPU host: at H = 4, d = 32 in
-float32 a split call took 1.5-1.7x the one-thread time at 2^16 logits,
-0.97-1.09x at 2^18, 0.70-0.82x at 2^19 and 0.57-0.62x from 1M to 4M.
-The threshold is 2^20, not 2^19, because a process that also split its
-0.6M and 1M-logit calls ran its other calls slower, for a reason not yet
-known.
+query block count. Single-head attention is the H = 1 case. A large call
+without a tape runs the halves of its heads on two threads (``_in_halves``).
 
 Softmax is shift-invariant, so the usual subtraction of each row's max
 logit only guards the range of exp. The op skips it when a bound proves
@@ -163,7 +145,7 @@ _LOGITS_BLOCK_BYTES = 4 << 20
 
 
 # Logits (heads * Tq * Tk) from which a call without a tape runs the two
-# halves of its heads on two threads (the module docstring says why 2^20).
+# halves of its heads on two threads (``_in_halves`` says why 2^20).
 _SPLIT_LOGITS = 1 << 20
 
 
@@ -173,9 +155,54 @@ except (AttributeError, OSError, TypeError):
     _sched_getcpu = None
 
 
-def _usable_cpus() -> set:
+def _in_halves(run, n: int, size: int) -> None:
+    """``run(slice(None))``, or ``run`` over [0, n/2) and [n/2, n) on two threads.
+
+    A call splits when ``size`` (the attention op passes its H Tq Tk logits,
+    0 when a tape records it) reaches ``_SPLIT_LOGITS`` (2^20), n >= 2 and
+    the process may run on two or more CPUs: a ``threading.Thread`` runs
+    [n/2, n) while the calling thread runs [0, n/2), joins it and re-raises
+    what it raised. numpy releases the GIL inside matmul, exp, the reduce
+    and the divide, so the attention op's halves run in parallel. The new
+    thread first restricts itself to the process's CPUs other than the
+    caller's: a kernel that does not balance load (a cpuset with
+    ``sched_load_balance`` 0, as on some VM guests) starts it on its
+    creator's CPU and keeps it there, where the halves take turns. Each
+    half of the attention op writes only its heads' slices of the output,
+    the row sums and the block buffer, and every per-head operation gets
+    exactly the operands it gets on one thread, so the result is the same
+    bit for bit. Starting and joining the thread cost about 0.2 ms on a
+    2-vCPU host: at H = 4, d = 32 in float32 a split call took 1.5-1.7x the
+    one-thread time at 2^16 logits, 0.97-1.09x at 2^18, 0.70-0.82x at 2^19
+    and 0.57-0.62x from 1M to 4M. The threshold is 2^20, not 2^19, because
+    a process that also split its 0.6M and 1M-logit calls ran its other
+    calls slower, for a reason not yet known.
+    """
     getaffinity = getattr(os, "sched_getaffinity", None)
-    return getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1))
+    cpus = (set() if n < 2 or size < _SPLIT_LOGITS
+            else getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1)))
+    if len(cpus) < 2:
+        run(slice(None))
+        return
+    away = cpus - {_sched_getcpu()} if _sched_getcpu else cpus
+    raised = []
+
+    def other_half():
+        try:
+            with contextlib.suppress(AttributeError, OSError):  # best effort
+                os.sched_setaffinity(0, away)
+            run(slice(n // 2, n))
+        except BaseException as exc:  # re-raised in the calling thread below
+            raised.append(exc)
+
+    worker = threading.Thread(target=other_half)
+    worker.start()
+    try:
+        run(slice(0, n // 2))
+    finally:
+        worker.join()
+    if raised:
+        raise raised[0]
 
 
 def _query_blocks(tq: int, tk: int, heads: int, itemsize: int) -> range:
@@ -222,32 +249,7 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             ob = np.matmul(pb, vh[h], out=oh[h, rows])
             ob /= sums  # normalise the (H, rows, d_v) output, not the weights
 
-    half = heads // 2
-    cpus = set() if recorded or not half or heads * tq * tk < _SPLIT_LOGITS else _usable_cpus()
-    if len(cpus) < 2:
-        run(slice(None))
-    else:  # numpy releases the GIL in matmul, exp, the reduce and the divide
-        # a kernel that does not balance load can keep a new thread on its
-        # creator's CPU, so the new thread leaves this thread's CPU itself
-        away = cpus - {_sched_getcpu()} if _sched_getcpu else cpus
-        raised = []
-
-        def other_half():
-            try:
-                with contextlib.suppress(AttributeError, OSError):  # best effort
-                    os.sched_setaffinity(0, away)
-                run(slice(half, heads))
-            except BaseException as exc:  # re-raised in the calling thread below
-                raised.append(exc)
-
-        worker = threading.Thread(target=other_half)
-        worker.start()
-        try:
-            run(slice(0, half))
-        finally:
-            worker.join()
-        if raised:
-            raise raised[0]
+    _in_halves(run, heads, 0 if recorded else heads * tq * tk)
 
     def bwd(g):
         np.divide(p, row_sums, out=p)  # the weights are needed only here

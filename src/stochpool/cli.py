@@ -26,7 +26,7 @@ from .data import (
 from .encoder import EncoderModel, load_checkpoint, preset, save_checkpoint
 from .errors import ConfigError, InputError, StochpoolError
 from .runconfig import KEY_TYPES, RunConfig, apply_overrides, echo_effective_config, load_config
-from .stochastic import FactorSets, fixed_config, parse_triplet
+from .stochastic import STANDARD_CONFIGS, FactorSets, fixed_config, parse_triplet
 from .training import TrainPlan, apply_head, finetune, pretrain_toy, write_train_log
 from .verify import run_checks
 
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cost = sub.add_parser("cost", help="analytic MAC model only")
     p_cost.add_argument("--preset", default="tiny")
     p_cost.add_argument("--frames", type=int, default=50)
-    p_cost.add_argument("--config", default="1-1-1,2-1-1,2-2-1,2-2-2",
+    p_cost.add_argument("--config", default=",".join(STANDARD_CONFIGS),
                         help="comma-separated triplets")
     p_cost.add_argument("--from-audio", action="store_true",
                         help="include the wave feature extractor")
@@ -221,9 +221,6 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-STANDARD_SWEEP = ("1-1-1", "2-1-1", "2-2-1", "2-2-2")
-
-
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
     model, extras, meta = _model_from(rc)
@@ -232,7 +229,7 @@ def cmd_sweep(args) -> int:
         raise InputError(f"{rc.checkpoint}: meta vocab_size must be a positive integer, "
                          f"got {vocab!r}")
     head = _head_from(extras, model.config.model_dim, rc.checkpoint, vocab)
-    triplets = list(STANDARD_SWEEP) + [t for t in rc.sweep_configs.split(",") if t.strip()]
+    triplets = list(STANDARD_CONFIGS) + [t for t in rc.sweep_configs.split(",") if t.strip()]
     configs = [fixed_config(*parse_triplet(t), model.config.depth) for t in triplets]
     if head is not None:
         dataset = SymbolFeatureDataset(rc.count("utterances"), model.config.model_dim,

@@ -199,6 +199,11 @@ class CompressionConfig:
         return f"{self.s_f}-{fmt(kvs)}-{fmt(qs)}"
 
 
+# The four standard operating points S_f-S_k-S_q, from the full model to the
+# cheapest: what `sweep` always runs and `cost` and `verify` check by default.
+STANDARD_CONFIGS = ("1-1-1", "2-1-1", "2-2-1", "2-2-2")
+
+
 def parse_triplet(text: str) -> tuple:
     """Parse a "S_f-S_k-S_q" string into three positive integers."""
     parts = text.strip().split("-")

@@ -114,10 +114,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         if self.data.size != 1:
             raise UsageError(f"item() requires a single-element tensor, shape {self.shape}")

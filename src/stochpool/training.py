@@ -70,6 +70,10 @@ class TrainPlan:
             raise ConfigError("deterministic mode requires a fixed CompressionConfig")
         if self.mode == "stochastic" and self.sets is None:
             raise ConfigError("stochastic mode requires FactorSets to sample from")
+        if self.mode == "deterministic" and self.sets is not None:
+            raise ConfigError("deterministic mode trains at fixed and would ignore sets")
+        if self.mode == "stochastic" and self.fixed is not None:
+            raise ConfigError("stochastic mode samples from sets and would ignore fixed")
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:

@@ -19,7 +19,8 @@ from .data import synth_audio
 from .encoder import EncoderModel, preset
 from .gradcheck import check_gradients
 from .pooling import downsample, upsample
-from .stochastic import FactorSets, Rng, fixed_config, sample_config
+from .stochastic import (STANDARD_CONFIGS, FactorSets, Rng, fixed_config, parse_triplet,
+                         sample_config)
 from .tensor import (
     Tape,
     Tensor,
@@ -350,7 +351,7 @@ def _check_float32_serving(seed):
         model32 = model64.astype(np.float32)
         feats64 = model64.extract_features(audio)
         feats32 = model32.extract_features(audio)
-        for triplet in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)):
+        for triplet in map(parse_triplet, STANDARD_CONFIGS):
             counter = compare(model64, model32, feats64, feats32, triplet,
                               f"w_q x{w_q_scale:g}")
             calls += counter.attention_calls

@@ -61,6 +61,16 @@ class TestPlanValidation:
             TrainPlan(mode="stochastic", steps=1, batch_size=1, learning_rate=1e-3,
                       seed=0, loss="ctc")
 
+    def test_deterministic_rejects_sets(self):
+        with pytest.raises(ConfigError, match="ignore sets"):
+            TrainPlan(mode="deterministic", steps=1, batch_size=1, learning_rate=1e-3,
+                      seed=0, loss="ctc", sets=SETS, fixed=fixed_config(2, 1, 1, 2))
+
+    def test_stochastic_rejects_fixed(self):
+        with pytest.raises(ConfigError, match="ignore fixed"):
+            TrainPlan(mode="stochastic", steps=1, batch_size=1, learning_rate=1e-3,
+                      seed=0, loss="ctc", sets=SETS, fixed=fixed_config(2, 1, 1, 2))
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             TrainPlan(mode="sometimes", steps=1, batch_size=1, learning_rate=1e-3,
