@@ -16,7 +16,8 @@ at H = 4, whenever Tq Tk <= 2^18) that block is the whole buffer. The op
 reports its multiply-accumulates to the active counter like ``matmul``
 does, along with its call, whether it skipped the max shift below and its
 query block count. Single-head attention is the H = 1 case. A large call
-without a tape runs the halves of its heads on two threads (``_in_halves``).
+without a tape or MAC counter runs the halves of its heads on two threads
+(``_in_halves``).
 
 Softmax is shift-invariant, so the usual subtraction of each row's max
 logit only guards the range of exp. The op skips it when a bound proves
@@ -73,6 +74,7 @@ import contextlib
 import ctypes
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -144,8 +146,9 @@ def _shift_free(qs: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
 _LOGITS_BLOCK_BYTES = 4 << 20
 
 
-# Logits (heads * Tq * Tk) from which a call without a tape runs the two
-# halves of its heads on two threads (``_in_halves`` says why 2^20).
+# Logits (heads * Tq * Tk) from which a call without a tape or MAC counter
+# runs the two halves of its heads on two threads (``_in_halves`` says why
+# 2^20).
 _SPLIT_LOGITS = 1 << 20
 
 
@@ -155,54 +158,120 @@ except (AttributeError, OSError, TypeError):
     _sched_getcpu = None
 
 
-def _in_halves(run, n: int, size: int) -> None:
-    """``run(slice(None))``, or ``run`` over [0, n/2) and [n/2, n) on two threads.
+def _split_cpus(n: int) -> set:
+    """The CPUs a call may split n items over: none when n < 2 or a tape or
+    MAC counter is active on the calling thread, else every CPU the process
+    may run on."""
+    if n < 2 or _state.tape is not None or _state.macs is not None:
+        return set()
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1))
 
-    A call splits when ``size`` (the attention op passes its H Tq Tk logits,
-    0 when a tape records it) reaches ``_SPLIT_LOGITS`` (2^20), n >= 2 and
-    the process may run on two or more CPUs: a ``threading.Thread`` runs
-    [n/2, n) while the calling thread runs [0, n/2), joins it and re-raises
-    what it raised. numpy releases the GIL inside matmul, exp, the reduce
-    and the divide, so the attention op's halves run in parallel. The new
-    thread first restricts itself to the process's CPUs other than the
-    caller's: a kernel that does not balance load (a cpuset with
-    ``sched_load_balance`` 0, as on some VM guests) starts it on its
-    creator's CPU and keeps it there, where the halves take turns. Each
-    half of the attention op writes only its heads' slices of the output,
-    the row sums and the block buffer, and every per-head operation gets
-    exactly the operands it gets on one thread, so the result is the same
-    bit for bit. Starting and joining the thread cost about 0.2 ms on a
-    2-vCPU host: at H = 4, d = 32 in float32 a split call took 1.5-1.7x the
-    one-thread time at 2^16 logits, 0.97-1.09x at 2^18, 0.70-0.82x at 2^19
-    and 0.57-0.62x from 1M to 4M. The threshold is 2^20, not 2^19, because
-    a process that also split its 0.6M and 1M-logit calls ran its other
+
+class _Worker:
+    """A second thread that runs one half of each ``_in_halves`` call while
+    the calling thread runs the other; ``close`` joins it."""
+
+    def __init__(self, cpus: set):
+        self._jobs = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        away = cpus - {_sched_getcpu()} if _sched_getcpu else cpus
+        self._thread = threading.Thread(target=self._serve, args=(away,))
+        self._thread.start()
+
+    def halves(self, run, n: int) -> None:
+        self._jobs.put((run, slice(n // 2, n)))
+        try:
+            run(slice(0, n // 2))
+        finally:
+            raised = self._done.get()  # the worker's half writes the caller's buffers
+        if raised is not None:
+            raise raised
+
+    def _serve(self, away: set) -> None:
+        with contextlib.suppress(AttributeError, OSError):  # best effort
+            os.sched_setaffinity(0, away)
+        while (job := self._jobs.get()) is not None:
+            try:
+                job[0](job[1])
+                raised = None
+            except BaseException as exc:  # re-raised in the calling thread
+                raised = exc
+            # drop the half before the caller resumes: holding it would keep
+            # its call's buffers alive, and the caller frees them
+            del job
+            self._done.put(raised)
+            del raised
+
+    def close(self) -> None:
+        self._jobs.put(None)
+        self._thread.join()
+
+
+class _OneWorker(threading.local):
+    """``with _one_worker:`` makes every ``_in_halves`` call in the block on
+    this thread share one worker thread, started by the first call that
+    splits and joined on leaving the outermost block."""
+
+    blocks = 0
+    worker = None
+
+    def __enter__(self):
+        self.blocks += 1
+
+    def __exit__(self, *exc):
+        self.blocks -= 1
+        if not self.blocks and self.worker is not None:
+            worker, self.worker = self.worker, None
+            worker.close()
+
+
+_one_worker = _OneWorker()
+
+
+def _in_halves(run, n: int, wanted: bool) -> None:
+    """``run`` over [n/2, n) on a worker thread while the calling thread runs
+    [0, n/2), when the caller wants a split and ``_split_cpus`` allows it;
+    else ``run(slice(None))``.
+
+    This is the only place where stochpool uses a second CPU. Two callers
+    split: the attention op its heads, once its H Tq Tk logits reach
+    ``_SPLIT_LOGITS``, and ``EncoderModel.forward`` each layer's rows after
+    attention, from ``encoder._SPLIT_ROWS`` rows on. Neither splits under a
+    tape or a MAC counter, or when the process may run on one CPU only. The
+    worker is the one of the enclosing ``_one_worker`` block, which every
+    forward opens, so a forward starts at most one thread and hands it each
+    half through a queue (about 18 us on a 2-vCPU host, against about
+    0.12-0.2 ms to start and join a thread); a call outside a forward gets
+    a thread of its own, joined before the call returns. The calling thread
+    waits for the worker's half in a ``finally`` and then re-raises what the
+    worker raised, unless its own half raised first.
+
+    numpy releases the GIL inside matmul and the elementwise ufuncs and
+    reductions, so the halves run in parallel. The worker first restricts
+    itself to the process's CPUs other than the caller's: a kernel that does
+    not balance load (a cpuset with ``sched_load_balance`` 0, as on some VM
+    guests) starts it on its creator's CPU and keeps it there, where the
+    halves take turns. Of what both halves can see, each writes only its own
+    slices of the caller's output buffers, and every operation in it gets
+    exactly the operands it gets on one thread (a head's whole batch, or rows of a row-wise op; see
+    ``encoder._tail_in_halves`` for the one caveat, products of fewer than
+    16 rows), so the result is the same bit for bit.
+
+    Why 2^20 logits: with a thread started per call, at H = 4, d = 32 in
+    float32 a split call took 1.5-1.7x the one-thread time at 2^16 logits,
+    0.97-1.09x at 2^18, 0.70-0.82x at 2^19 and 0.57-0.62x from 1M to 4M,
+    and a process that also split its 0.6M and 1M-logit calls ran its other
     calls slower, for a reason not yet known.
     """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    cpus = (set() if n < 2 or size < _SPLIT_LOGITS
-            else getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1)))
+    cpus = _split_cpus(n) if wanted else ()
     if len(cpus) < 2:
         run(slice(None))
         return
-    away = cpus - {_sched_getcpu()} if _sched_getcpu else cpus
-    raised = []
-
-    def other_half():
-        try:
-            with contextlib.suppress(AttributeError, OSError):  # best effort
-                os.sched_setaffinity(0, away)
-            run(slice(n // 2, n))
-        except BaseException as exc:  # re-raised in the calling thread below
-            raised.append(exc)
-
-    worker = threading.Thread(target=other_half)
-    worker.start()
-    try:
-        run(slice(0, n // 2))
-    finally:
-        worker.join()
-    if raised:
-        raise raised[0]
+    with _one_worker:
+        if _one_worker.worker is None:
+            _one_worker.worker = _Worker(cpus)
+        _one_worker.worker.halves(run, n)
 
 
 def _query_blocks(tq: int, tk: int, heads: int, itemsize: int) -> range:
@@ -249,7 +318,7 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             ob = np.matmul(pb, vh[h], out=oh[h, rows])
             ob /= sums  # normalise the (H, rows, d_v) output, not the weights
 
-    _in_halves(run, heads, 0 if recorded else heads * tq * tk)
+    _in_halves(run, heads, not recorded and heads * tq * tk >= _SPLIT_LOGITS)
 
     def bwd(g):
         np.divide(p, row_sums, out=p)  # the weights are needed only here

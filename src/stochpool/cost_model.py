@@ -49,8 +49,8 @@ MAC_FIELDS = ("macs_fe", "macs_attn_proj", "macs_attn_scores", "macs_ffn", "macs
 MIN_TIMER_TICKS = 100
 # off-CPU share (wall minus process CPU time, over wall) above which a timed
 # pass counts as descheduled and is retaken, at most RETAKES times; process
-# time counts the second thread of a split attention call, so waiting for it
-# is not mistaken for being descheduled
+# time counts a forward's second thread, so waiting for it is not mistaken
+# for being descheduled
 MAX_OFF_CPU = 0.1
 RETAKES = 2
 
@@ -237,8 +237,9 @@ def measure(model: EncoderModel, configs, dataset,
     measures the host's other work, not the model.
     Decoding (output head plus greedy collapse) is timed separately when a
     head is given. Passes run one at a time from the calling thread, but
-    an attention call large enough to split its heads (see ``attention``)
-    runs half of them on a second thread, whose CPU time counts too.
+    a forward long enough to split (see ``encoder``) runs half of its large
+    attention calls and long layers on a second thread, whose CPU time
+    counts too.
     """
     configs = list(configs)
     if repeats < 3:

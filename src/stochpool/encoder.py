@@ -15,6 +15,16 @@ so a (1,1,1) pass is a plain post-LN transformer encoder. The upsample
 head is the only parameter the squeeze mechanism adds, and it exists
 once for all squeeze factors; pooling factors never change the
 parameter count.
+
+A forward without a tape or MAC counter, in a process that may run on two
+or more CPUs, uses at most one worker thread, started by its first split
+and joined before it returns (``attention._in_halves``). Its attention
+calls from 2^20 logits run half of their heads on it, and when the
+squeezed sequence has ``_SPLIT_ROWS`` rows or more, each layer's tail
+after attention (residual, layer norm, feed-forward block, residual,
+layer norm) runs rows [T'/2, T') on it. Every output bit is the one a
+single thread gives. Under a tape or a MAC counter the whole forward runs
+on the calling thread, through the tensor ops.
 """
 
 from __future__ import annotations
@@ -28,12 +38,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attention import AttentionParams, multi_head_pooled
+from .attention import AttentionParams, _in_halves, _one_worker, _split_cpus, multi_head_pooled
 from .errors import ConfigError, InputError, ShapeError
 from .pooling import downsample, upsample
 from .stochastic import CompressionConfig, Rng
 from .tensor import (
     Tensor,
+    _gelu_forward,
+    _layer_norm_forward,
     add,
     as_tensor,
     conv1d,
@@ -215,6 +227,61 @@ class _Layer(NamedTuple):
     norm2_beta: Tensor
 
 
+# Rows from which a forward without a tape or MAC counter runs each layer's
+# tail in two halves (``_tail_in_halves``), and the fewest rows a half may
+# have (``_tail_in_halves`` says why 16).
+_SPLIT_ROWS = 512
+_GEMM_ROWS = 16
+
+
+def _tail(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
+    """One layer after its attention: residual and layer norm, then the
+    feed-forward block with its residual and layer norm."""
+    x = layer_norm(add(x, attn_out), layer.norm1_gamma, layer.norm1_beta)
+    with mac_scope("ffn"):
+        h = gelu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
+        h = add(matmul(h, layer.ffn_w2), layer.ffn_b2)
+    return layer_norm(add(x, h), layer.norm2_gamma, layer.norm2_beta)
+
+
+def _tail_in_halves(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
+    """``_tail`` with rows [0, T/2) on the calling thread and [T/2, T) on the
+    forward's worker (``attention._in_halves``), without a tape.
+
+    Both halves run ``_tail``'s arithmetic (``_layer_norm_forward`` and
+    ``_gelu_forward`` are the ops' own forwards) and write their rows of one
+    output that the calling thread allocates. Each half's other arrays are
+    its own thread's, and so is the heap they come from: when the worker
+    wrote into buffers of the caller's heap, which the caller's later
+    forwards then reused, the benchmark's unsplit requests in the same
+    process read 2-5% slower.
+
+    Every op works row by row, so a row's bits do not depend on the rows
+    beside it, with one exception: on numpy's bundled OpenBLAS a product of
+    fewer than 16 rows, or of one row, can differ in its last bits from the
+    same rows of a taller product (seen at (m, 512) @ (512, 128), float32
+    and float64); pieces of 16 rows or more matched at every height tried.
+    The forward splits only when each half has ``_GEMM_ROWS`` rows or more.
+    """
+    xd, ad = x.data, attn_out.data
+    gamma1, beta1, w1, b1, w2, b2, gamma2, beta2 = (t.data for t in layer)
+    out = np.empty_like(xd)
+
+    def run(r: slice):
+        s = np.add(xd[r], ad[r])
+        x1 = _layer_norm_forward(s, gamma1, beta1, s)[1]
+        h = np.matmul(x1, w1)
+        h += b1
+        h = _gelu_forward(h, None, h)[1]
+        h2 = np.matmul(h, w2)
+        h2 += b2
+        np.add(x1, h2, out=h2)
+        _layer_norm_forward(h2, gamma2, beta2, h2, out[r])
+
+    _in_halves(run, xd.shape[0], True)
+    return as_tensor(out)
+
+
 class EncoderModel:
     """Parameters plus topology; immutable during evaluation.
 
@@ -317,13 +384,13 @@ class EncoderModel:
         x = self._positional(downsample(x, config.s_f))
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
-        for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):
-            attn_out = multi_head_pooled(x, attn, pair)
-            x = layer_norm(add(x, attn_out), layer.norm1_gamma, layer.norm1_beta)
-            with mac_scope("ffn"):
-                h = gelu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
-                h = add(matmul(h, layer.ffn_w2), layer.ffn_b2)
-            x = layer_norm(add(x, h), layer.norm2_gamma, layer.norm2_beta)
+        rows = x.data.shape[0]
+        split = rows >= max(_SPLIT_ROWS, 2 * _GEMM_ROWS) and len(_split_cpus(rows)) > 1
+        with _one_worker:
+            for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):
+                attn_out = multi_head_pooled(x, attn, pair)
+                x = (_tail_in_halves(x, attn_out, layer) if split
+                     else _tail(x, attn_out, layer))
         if config.s_f > 1:
             with mac_scope("upsample"):
                 x = add(matmul(x, p["upsample.weight"]), p["upsample.bias"])

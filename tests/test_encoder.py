@@ -1,10 +1,13 @@
 """Encoder pipeline: feature extractor, squeeze network, checkpoints."""
 
 import hashlib
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from stochpool import attention
 from stochpool import encoder as encoder_module
 from stochpool.attention import AttentionParams, multi_head_pooled
 from stochpool.encoder import (
@@ -19,8 +22,8 @@ from stochpool.encoder import (
 )
 from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
-from stochpool.stochastic import Rng, fixed_config
-from stochpool.tensor import Tensor, add, conv1d, count_macs, gelu, layer_norm, matmul
+from stochpool.stochastic import STANDARD_CONFIGS, Rng, fixed_config, parse_triplet
+from stochpool.tensor import Tape, Tensor, add, conv1d, count_macs, gelu, layer_norm, matmul
 from stochpool.training import make_head
 
 
@@ -210,6 +213,116 @@ class TestForward:
         hacked = model.forward(feats, config).data
         assert len(calls) == final
         assert np.abs(normal - hacked).max() > 1e-6
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads a forward starts, on a host with two usable CPUs; every
+    forward must join the threads it starts before it returns."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started, joined = [], []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def join(self, timeout=None):
+            super().join(timeout)
+            joined.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    before = threading.active_count()
+    yield started
+    assert threading.active_count() == before
+    assert joined == started
+    assert not any(t.is_alive() for t in started)
+
+
+class TestRowSplit:
+    """A forward without a tape or MAC counter runs each layer's tail in two
+    row halves from ``_SPLIT_ROWS`` rows on, with the bits of one thread."""
+
+    MIN_ROWS = 2 * encoder_module._GEMM_ROWS  # the threshold's floor: halves of 16 rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_on_every_layer_matches_one_thread(self, started, monkeypatch, dtype):
+        model = EncoderModel(preset("small"), seed=23).astype(dtype)
+        depth = model.config.depth
+        for t in (37, 300, 333, 513, 1000):
+            feats = rand(24 + t, t, model.config.model_dim)
+            for name in STANDARD_CONFIGS:
+                config = fixed_config(*parse_triplet(name), depth)
+                monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", 10 ** 9)
+                one = model.forward(feats, config).data
+                monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", self.MIN_ROWS)
+                threads = len(started)
+                split = model.forward(feats, config).data
+                assert np.array_equal(split, one), f"T={t} {name} {np.dtype(dtype).name}"
+                # at T = 37 and s_f = 2 the 19 rows would make halves of 9 and 10
+                assert len(started) - threads == (-(-t // config.s_f) >= self.MIN_ROWS)
+
+    @pytest.mark.parametrize("rows", [MIN_ROWS - 1, 19])
+    def test_halves_below_sixteen_rows_stay_on_one_thread(self, started, monkeypatch, rows):
+        monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", 1)
+        model = EncoderModel(preset("tiny"), seed=25)
+        model.forward(rand(26, rows, 64), fixed_config(1, 1, 1, model.config.depth))
+        assert started == []
+
+
+class TestForwardWorker:
+    """A forward keeps at most one worker thread, shared by its attention
+    halves and its row halves, and joins it before returning."""
+
+    ROWS = 600
+
+    @pytest.fixture
+    def model(self, monkeypatch):
+        monkeypatch.setattr(attention, "_SPLIT_LOGITS", 1)  # every attention call splits
+        return EncoderModel(preset("tiny"), seed=27)
+
+    def forward(self, model):
+        return model.forward(rand(28, self.ROWS, 64), fixed_config(1, 1, 1, model.config.depth))
+
+    def test_one_thread_for_attention_and_rows(self, started, monkeypatch, model):
+        assert self.ROWS >= encoder_module._SPLIT_ROWS
+        halves = []
+        real = attention._Worker.halves
+
+        def spy(worker, run, n):
+            halves.append((worker, n))
+            return real(worker, run, n)
+
+        monkeypatch.setattr(attention._Worker, "halves", spy)
+        self.forward(model)
+        assert len(started) == 1
+        heads, depth = model.config.heads, model.config.depth
+        assert [n for _, n in halves] == [heads, self.ROWS] * depth
+        assert len({id(worker) for worker, _ in halves}) == 1
+
+    @pytest.mark.parametrize("on_worker", [True, False], ids=["worker-raises", "caller-raises"])
+    def test_a_failing_half_raises_in_the_caller(self, started, monkeypatch, model, on_worker):
+        real = encoder_module._gelu_forward
+
+        def gelu_forward(*args):
+            if (threading.current_thread() is threading.main_thread()) is not on_worker:
+                raise FloatingPointError("gelu failed")
+            return real(*args)
+
+        monkeypatch.setattr(encoder_module, "_gelu_forward", gelu_forward)
+        with pytest.raises(FloatingPointError, match="gelu failed"):
+            self.forward(model)
+        assert len(started) == 1
+
+    def test_no_thread_under_a_tape_or_counter(self, started, model):
+        with Tape():
+            taped = self.forward(model)
+        with count_macs():
+            counted = self.forward(model)
+        assert started == []
+        assert np.array_equal(taped.data, counted.data)
+        assert np.array_equal(self.forward(model).data, counted.data)
+        assert len(started) == 1
 
 
 def parameter_count(model) -> int:

@@ -44,3 +44,18 @@ def test_seed_after_another_seed_equals_fresh_run():
     fresh = subprocess.run([sys.executable, "-c", script, str(Path(__file__).resolve().parent)],
                            env=env, capture_output=True, text=True, check=True)
     assert after_seed_0 == json.loads(fresh.stdout)
+
+
+def test_ctc_oracle_fails_when_ctc_loss_fails_on_feasible_labels(monkeypatch):
+    real = verify.ctc_loss
+
+    def ctc_loss(logits, labels):
+        if len(labels) == 2:
+            raise ValueError("two labels")
+        return real(logits, labels)
+
+    monkeypatch.setattr(verify, "ctc_loss", ctc_loss)
+    results = verify.run_checks("bruteforce")
+    assert [r.name for r in results] == ["bruteforce_enumeration_oracle"]
+    assert not results[0].ok
+    assert "two labels" in results[0].detail
