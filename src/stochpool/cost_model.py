@@ -201,7 +201,7 @@ def _openblas_threads():
 
 
 @contextmanager
-def _pinned_to_one_worker():
+def _blas_pinned_to_one_thread():
     """Limit BLAS thread pools to one worker for the timed region.
 
     Measurement runs in a single execution context; multi-threaded GEMM
@@ -237,9 +237,9 @@ def measure(model: EncoderModel, configs, dataset,
     measures the host's other work, not the model.
     Decoding (output head plus greedy collapse) is timed separately when a
     head is given. Passes run one at a time from the calling thread, but
-    a forward long enough to split (see ``encoder``) runs half of its large
-    attention calls and long layers on a second thread, whose CPU time
-    counts too.
+    a forward whose squeezed sequence reaches ``encoder._SPLIT_ROWS`` rows
+    runs half of its attention heads and layer rows on a second thread,
+    whose CPU time counts too.
     """
     configs = list(configs)
     if repeats < 3:
@@ -257,7 +257,7 @@ def measure(model: EncoderModel, configs, dataset,
     gc_was_enabled = gc.isenabled()
     gc.disable()  # collector pauses otherwise pollute per-repeat samples
     try:
-        with _pinned_to_one_worker():
+        with _blas_pinned_to_one_thread():
             for i in range(len(dataset)):
                 feats = Tensor(dataset[i].features, dtype=np.float32)
                 encoded = [bench.forward(feats, c) for c in configs]  # warm-up, excluded

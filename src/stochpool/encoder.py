@@ -16,15 +16,15 @@ head is the only parameter the squeeze mechanism adds, and it exists
 once for all squeeze factors; pooling factors never change the
 parameter count.
 
-A forward without a tape or MAC counter, in a process that may run on two
-or more CPUs, uses at most one worker thread, started by its first split
-and joined before it returns (``attention._in_halves``). Its attention
-calls from 2^20 logits run half of their heads on it, and when the
-squeezed sequence has ``_SPLIT_ROWS`` rows or more, each layer's tail
+A forward is the one place that decides to use a second CPU. When the
+squeezed sequence has ``_SPLIT_ROWS`` rows or more, no tape or MAC counter
+is active and the process may run on two or more CPUs, it starts one
+worker thread and joins it before it returns (``attention._Worker``). Each
+attention call then runs half of its heads on it, and each layer's tail
 after attention (residual, layer norm, feed-forward block, residual,
-layer norm) runs rows [T'/2, T') on it. Every output bit is the one a
-single thread gives. Under a tape or a MAC counter the whole forward runs
-on the calling thread, through the tensor ops.
+layer norm) rows [T'/2, T'). Every output bit is the one a single thread
+gives. Otherwise the whole forward runs on the calling thread, through
+the tensor ops.
 """
 
 from __future__ import annotations
@@ -32,20 +32,23 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .attention import AttentionParams, _in_halves, _one_worker, _split_cpus, multi_head_pooled
+from .attention import AttentionParams, _Worker, multi_head_pooled
 from .errors import ConfigError, InputError, ShapeError
 from .pooling import downsample, upsample
 from .stochastic import CompressionConfig, Rng
 from .tensor import (
+    _NO_SCOPE,
     Tensor,
     _gelu_forward,
     _layer_norm_forward,
+    _state,
     add,
     as_tensor,
     conv1d,
@@ -227,9 +230,10 @@ class _Layer(NamedTuple):
     norm2_beta: Tensor
 
 
-# Rows from which a forward without a tape or MAC counter runs each layer's
-# tail in two halves (``_tail_in_halves``), and the fewest rows a half may
-# have (``_tail_in_halves`` says why 16).
+# Squeezed rows from which a forward without a tape or MAC counter uses a
+# second CPU for its attention heads and each layer's tail
+# (``_tail_in_halves``), and the fewest rows a half may have
+# (``_tail_in_halves`` says why 16).
 _SPLIT_ROWS = 512
 _GEMM_ROWS = 16
 
@@ -246,7 +250,7 @@ def _tail(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
 
 def _tail_in_halves(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
     """``_tail`` with rows [0, T/2) on the calling thread and [T/2, T) on the
-    forward's worker (``attention._in_halves``), without a tape.
+    forward's worker (``attention._Worker``), without a tape.
 
     Both halves run ``_tail``'s arithmetic (``_layer_norm_forward`` and
     ``_gelu_forward`` are the ops' own forwards) and write their rows of one
@@ -278,7 +282,7 @@ def _tail_in_halves(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
         np.add(x1, h2, out=h2)
         _layer_norm_forward(h2, gamma2, beta2, h2, out[r])
 
-    _in_halves(run, xd.shape[0], True)
+    _state.worker.halves(run, xd.shape[0])
     return as_tensor(out)
 
 
@@ -384,13 +388,18 @@ class EncoderModel:
         x = self._positional(downsample(x, config.s_f))
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
-        rows = x.data.shape[0]
-        split = rows >= max(_SPLIT_ROWS, 2 * _GEMM_ROWS) and len(_split_cpus(rows)) > 1
-        with _one_worker:
+        worker = _NO_SCOPE
+        if (x.data.shape[0] >= max(_SPLIT_ROWS, 2 * _GEMM_ROWS)
+                and _state.tape is None and _state.macs is None):
+            getaffinity = getattr(os, "sched_getaffinity", None)
+            cpus = getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1))
+            if len(cpus) > 1:
+                worker = _Worker(cpus)
+        with worker:
             for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):
                 attn_out = multi_head_pooled(x, attn, pair)
-                x = (_tail_in_halves(x, attn_out, layer) if split
-                     else _tail(x, attn_out, layer))
+                x = (_tail(x, attn_out, layer) if worker is _NO_SCOPE
+                     else _tail_in_halves(x, attn_out, layer))
         if config.s_f > 1:
             with mac_scope("upsample"):
                 x = add(matmul(x, p["upsample.weight"]), p["upsample.bias"])

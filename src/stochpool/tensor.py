@@ -73,11 +73,13 @@ _grad_id = attrgetter("grad_id")
 
 
 class _State(threading.local):
-    """The active tape and MAC counter; the class attributes are every
-    thread's defaults."""
+    """The active tape, MAC counter and forward worker
+    (``attention._Worker``); the class attributes are every thread's
+    defaults."""
 
     tape = None
     macs = None
+    worker = None
 
 
 _state = _State()

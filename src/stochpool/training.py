@@ -261,6 +261,9 @@ def _run_loop(model, aux_params, plan, dataset, loss_fn, phase, val_fn=None):
     """Shared optimizer loop; loss_fn(utt, config) -> (scalar Tensor | None)."""
     if len(dataset) < 1:
         raise InputError("dataset is empty")
+    sets = plan.sets  # the largest factors a step can draw must fit before step 0 runs
+    (plan.fixed or fixed_config(max(sets.squeeze_set), max(sets.kv_set), max(sets.q_set),
+                                model.config.depth)).check_fits(model.config)
     trainable = dict(model.params)
     trainable.update(aux_params)
     root = Rng(plan.seed).fork(phase)

@@ -6,18 +6,20 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochpool import attention, verify
-from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, _SPLIT_LOGITS, AttentionParams,
-                                 _query_blocks, _shift_free, attend, multi_head_pooled)
+from stochpool import attention, encoder, verify
+from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, AttentionParams, _query_blocks,
+                                 _shift_free, attend, multi_head_pooled)
+from stochpool.encoder import EncoderModel, preset
 from stochpool.errors import ConfigError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.pooling import downsample, upsample
-from stochpool.stochastic import Rng
+from stochpool.stochastic import Rng, fixed_config
 from stochpool.tensor import Tape, Tensor, backward, matmul, mul, sum_all
 
 
@@ -155,33 +157,16 @@ class TestQueryBlocks:
 
 
 class TestHeadSplit:
-    """From ``_SPLIT_LOGITS`` logits on, a call without a tape runs the two
-    halves of its heads on two threads, with the bits of one thread."""
+    """Inside a forward's worker block (``attention._Worker``) the op runs
+    the two halves of its heads on two threads, with the bits of one thread;
+    elsewhere it runs on the calling thread."""
 
     TK = 128
-    TQ = _SPLIT_LOGITS // (4 * TK)  # 4 heads, TQ queries and TK keys reach the threshold
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """The threads the op starts, on a host with two usable CPUs; every
-        call must leave the process with the threads it had."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        started = []
-
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Spy)
-        before = threading.active_count()
-        yield started
-        assert threading.active_count() == before
-        assert not any(t.is_alive() for t in started)
+    TQ = (1 << 20) // (4 * TK)  # 4 heads, TQ queries and TK keys: 2^20 logits
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shift", [False, True], ids=["shift-free", "shifted"])
-    def test_split_matches_the_whole_buffer(self, started, monkeypatch, dtype, shift):
+    def test_split_matches_the_whole_buffer(self, started, halves, monkeypatch, dtype, shift):
         n, heads, itemsize = self.TQ, 4, np.dtype(dtype).itemsize
         # one query block holds the whole call (in float32 it does so unpatched)
         monkeypatch.setattr(attention, "_LOGITS_BLOCK_BYTES", heads * n * self.TK * itemsize)
@@ -191,45 +176,55 @@ class TestHeadSplit:
             q[:, 0], k[:, 0] = 400.0, 10.0
         assert decision(q, k, v, heads) is not shift
         assert len(_query_blocks(n, self.TK, heads, itemsize)) == 1
-        out = attend(q, k, v, heads).data
-        assert len(started) == 1
+        with attention._Worker({0, 1}):
+            out = attend(q, k, v, heads).data
+        assert len(started) == 1 and [n for _, n in halves] == [heads]
         assert out.dtype == dtype
         assert np.array_equal(out, whole_buffer_attention(q, k, v, heads, np.zeros_like(q))[0])
 
-    def test_split_blocks_match_one_thread(self, started, monkeypatch):
+    def test_split_blocks_match_one_thread(self, started, halves):
         q, k, v = (rand(seed, rows, 16).astype(np.float32)
                    for seed, rows in ((97, 2 * self.TQ), (98, 2 * self.TK), (99, 2 * self.TK)))
         assert len(_query_blocks(len(q), len(k), 4, 4)) == 4
-        split = attend(q, k, v, 4).data
-        assert len(started) == 1
-        monkeypatch.setattr(attention, "_SPLIT_LOGITS", 4 * len(q) * len(k) + 1)
+        with attention._Worker({0, 1}):
+            split = attend(q, k, v, 4).data
+        assert len(started) == 1 and [n for _, n in halves] == [4]
         assert np.array_equal(split, attend(q, k, v, 4).data)
-        assert len(started) == 1
+        assert len(started) == 1 and [n for _, n in halves] == [4]
 
-    @pytest.mark.parametrize("rows, heads, cpus, taped, splits", [
-        (TQ, 4, 2, False, True),       # exactly _SPLIT_LOGITS
-        (TQ - 1, 4, 2, False, False),  # one query row short of it
-        (4 * TQ, 1, 2, False, False),  # one head has no halves
-        (TQ, 4, 1, False, False),      # one usable CPU
-        (TQ, 4, 2, True, False),       # the backward reads one (H, Tq, Tk) buffer
-    ], ids=["at-threshold", "below", "one-head", "one-cpu", "taped"])
-    def test_splits_only_from_the_threshold(self, started, monkeypatch, rows, heads, cpus,
+    def test_a_direct_call_starts_no_thread(self, started):
+        attend(rand(88, self.TQ, 8), rand(89, self.TK, 8), rand(90, self.TK, 8), 4)
+        assert started == []
+
+    @pytest.mark.parametrize("heads, cpus, taped, splits", [
+        (4, 2, False, True),
+        (1, 2, False, False),  # one head has no halves
+        (4, 1, False, False),  # one usable CPU
+        (4, 2, True, False),   # a taped forward stays on one thread
+    ], ids=["four-heads", "one-head", "one-cpu", "taped"])
+    def test_splits_only_from_the_threshold(self, started, halves, monkeypatch, heads, cpus,
                                             taped, splits):
+        """A forward of ``_SPLIT_ROWS`` rows splits its attention heads unless
+        it has one head, one usable CPU or a tape."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        q, k, v = rand(88, rows, 8), rand(89, self.TK, 8), rand(90, self.TK, 8)
+        model = EncoderModel(replace(preset("tiny"), heads=heads), seed=29)
+        depth, rows = model.config.depth, encoder._SPLIT_ROWS
+        feats, config = Tensor(rand(30, rows, 64)), fixed_config(1, 1, 1, depth)
         if taped:
             with Tape():
-                attend(Tensor(q), Tensor(k), Tensor(v), heads)
+                model.forward(feats, config)
         else:
-            attend(q, k, v, heads)
-        assert len(started) == splits
+            model.forward(feats, config)
+        assert [n for _, n in halves].count(heads) == depth * splits
+        assert len(started) == (cpus > 1 and not taped)
 
     def test_second_thread_leaves_the_callers_cpu(self, started, monkeypatch):
         moves = []
         monkeypatch.setattr(attention, "_sched_getcpu", lambda: 1)
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(
             (pid, set(cpus), threading.current_thread())), raising=False)
-        attend(rand(94, self.TQ, 8), rand(95, self.TK, 8), rand(96, self.TK, 8), 4)
+        with attention._Worker({0, 1}):
+            attend(rand(94, self.TQ, 8), rand(95, self.TK, 8), rand(96, self.TK, 8), 4)
         assert moves == [(0, {0}, started[0])]
 
     @pytest.mark.parametrize("on_worker", [True, False], ids=["worker-raises", "caller-raises"])
@@ -244,7 +239,8 @@ class TestHeadSplit:
         monkeypatch.setattr(np, "exp", exp)
         q, k, v = rand(91, self.TQ, 8), rand(92, self.TK, 8), rand(93, self.TK, 8)
         with pytest.raises(FloatingPointError, match="exp failed"):
-            attend(q, k, v, 4)
+            with attention._Worker({0, 1}):
+                attend(q, k, v, 4)
         assert len(started) == 1
 
 

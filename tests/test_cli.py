@@ -184,6 +184,22 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert key in err and f"got {value}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,key,value,error", [
+        ("pretrain", "squeeze_set", "1,3", "squeeze factor 3 exceeds ceiling 2"),
+        ("finetune", "kv_set", "1,4", "key-value pooling 4 exceeds ceiling 2")],
+        ids=["pretrain", "finetune"])
+    def test_factor_beyond_the_ceiling_exits_two_before_step_zero(self, tmp_path, capsys,
+                                                                   command, key, value, error):
+        # one step, which draws a factor the model can run: the set is refused
+        # for the factor it could draw later
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "run.cfg", output_dir=out, dataset="synthetic-symbols"
+                        if command == "finetune" else "synthetic-sines", steps=1, **{key: value})
+        assert run(command, str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
+        assert not (out / "checkpoint.stpl").exists()
+
 
 def _unreadable_argv(tmp_path, bad, kind):
     """Command line that reaches the unreadable file ``bad`` as input ``kind``."""

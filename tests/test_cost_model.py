@@ -11,8 +11,8 @@ from stochpool.cost_model import (
     CSV_HEADER,
     RETAKES,
     CostReport,
+    _blas_pinned_to_one_thread,
     _openblas_threads,
-    _pinned_to_one_worker,
     analytic_cost,
     analytic_cost_dataset,
     instrumented_macs,
@@ -180,7 +180,7 @@ class TestMeasure:
         before = get_threads()
         set_threads(2)
         try:
-            with _pinned_to_one_worker():
+            with _blas_pinned_to_one_thread():
                 inside = get_threads()
             after = get_threads()
         finally:

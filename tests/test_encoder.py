@@ -1,13 +1,11 @@
 """Encoder pipeline: feature extractor, squeeze network, checkpoints."""
 
 import hashlib
-import os
 import threading
 
 import numpy as np
 import pytest
 
-from stochpool import attention
 from stochpool import encoder as encoder_module
 from stochpool.attention import AttentionParams, multi_head_pooled
 from stochpool.encoder import (
@@ -215,30 +213,6 @@ class TestForward:
         assert np.abs(normal - hacked).max() > 1e-6
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """The threads a forward starts, on a host with two usable CPUs; every
-    forward must join the threads it starts before it returns."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    started, joined = [], []
-
-    class Spy(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-        def join(self, timeout=None):
-            super().join(timeout)
-            joined.append(self)
-
-    monkeypatch.setattr(threading, "Thread", Spy)
-    before = threading.active_count()
-    yield started
-    assert threading.active_count() == before
-    assert joined == started
-    assert not any(t.is_alive() for t in started)
-
-
 class TestRowSplit:
     """A forward without a tape or MAC counter runs each layer's tail in two
     row halves from ``_SPLIT_ROWS`` rows on, with the bits of one thread."""
@@ -271,34 +245,38 @@ class TestRowSplit:
 
 
 class TestForwardWorker:
-    """A forward keeps at most one worker thread, shared by its attention
-    halves and its row halves, and joins it before returning."""
+    """A forward from ``_SPLIT_ROWS`` rows keeps one worker thread, shared by
+    its attention halves and its row halves, and joins it before returning."""
 
     ROWS = 600
 
     @pytest.fixture
-    def model(self, monkeypatch):
-        monkeypatch.setattr(attention, "_SPLIT_LOGITS", 1)  # every attention call splits
+    def model(self):
         return EncoderModel(preset("tiny"), seed=27)
 
-    def forward(self, model):
-        return model.forward(rand(28, self.ROWS, 64), fixed_config(1, 1, 1, model.config.depth))
+    def forward(self, model, config="1-1-1"):
+        return model.forward(rand(28, self.ROWS, 64),
+                             fixed_config(*parse_triplet(config), model.config.depth))
 
-    def test_one_thread_for_attention_and_rows(self, started, monkeypatch, model):
+    def test_one_thread_for_attention_and_rows(self, started, halves, model):
         assert self.ROWS >= encoder_module._SPLIT_ROWS
-        halves = []
-        real = attention._Worker.halves
-
-        def spy(worker, run, n):
-            halves.append((worker, n))
-            return real(worker, run, n)
-
-        monkeypatch.setattr(attention._Worker, "halves", spy)
         self.forward(model)
         assert len(started) == 1
         heads, depth = model.config.heads, model.config.depth
         assert [n for _, n in halves] == [heads, self.ROWS] * depth
         assert len({id(worker) for worker, _ in halves}) == 1
+
+    def test_small_attention_calls_split_with_the_rows(self, started, halves, monkeypatch,
+                                                       model):
+        # at 1-2-2 each head's logits are 300 x 300: the forward's row count,
+        # not the attention call's size, decides
+        split = self.forward(model, "1-2-2").data
+        heads, depth = model.config.heads, model.config.depth
+        assert heads * (self.ROWS // 2) ** 2 < 1 << 20
+        assert [n for _, n in halves] == [heads, self.ROWS] * depth
+        monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", 10 ** 9)
+        assert np.array_equal(split, self.forward(model, "1-2-2").data)
+        assert len(started) == 1
 
     @pytest.mark.parametrize("on_worker", [True, False], ids=["worker-raises", "caller-raises"])
     def test_a_failing_half_raises_in_the_caller(self, started, monkeypatch, model, on_worker):
