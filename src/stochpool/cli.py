@@ -23,7 +23,7 @@ from .data import (
     SymbolFeatureDataset,
     read_wav,
 )
-from .encoder import EncoderModel, load_checkpoint, preset, save_checkpoint
+from .encoder import EncoderConfig, EncoderModel, load_checkpoint, preset, save_checkpoint
 from .errors import ConfigError, InputError, StochpoolError
 from .runconfig import KEY_TYPES, RunConfig, apply_overrides, echo_effective_config, load_config
 from .stochastic import STANDARD_CONFIGS, FactorSets, fixed_config, parse_triplet
@@ -103,11 +103,14 @@ def _factor_sets(rc: RunConfig) -> FactorSets:
                       rc.factor_list("q_set"))
 
 
-def _plan(rc: RunConfig, loss: str, depth: int) -> TrainPlan:
+def _plan(rc: RunConfig, loss: str, model_config: EncoderConfig) -> TrainPlan:
     """A non-empty ``fixed_config`` trains every step at that configuration;
-    an empty one samples each step's configuration from the factor sets."""
+    an empty one samples each step's configuration from the factor sets.
+    Factors beyond ``model_config``'s ceilings are rejected here, before the
+    command writes any output."""
+    depth = model_config.depth
     fixed = fixed_config(*parse_triplet(rc.fixed_config), depth) if rc.fixed_config else None
-    return TrainPlan(
+    plan = TrainPlan(
         mode="stochastic" if fixed is None else "deterministic",
         steps=rc.steps,
         batch_size=rc.batch_size,
@@ -119,6 +122,8 @@ def _plan(rc: RunConfig, loss: str, depth: int) -> TrainPlan:
         eval_interval=rc.eval_interval,
         freeze_extractor=rc.freeze_extractor,
     )
+    plan.check_fits(model_config)
+    return plan
 
 
 def _model_from(rc: RunConfig):
@@ -180,7 +185,7 @@ def cmd_pretrain(args) -> int:
         raise ConfigError(f"pretrain supports dataset=synthetic-sines, got {rc.dataset!r}")
     model, extras, _ = _model_from(rc)
     dataset = SineFeatureDataset(rc.count("dataset_size"), model.config.model_dim, seed=rc.seed)
-    plan = _plan(rc, "masked_regression", model.config.depth)
+    plan = _plan(rc, "masked_regression", model.config)
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)
     emb = extras.get("pretrain.mask_embedding")
@@ -201,7 +206,7 @@ def cmd_finetune(args) -> int:
     rc = _load_run_config(args)
     model, extras, _ = _model_from(rc)
     train, val, vocab, token_vocab = _labeled_datasets(rc, model.config.model_dim)
-    plan = _plan(rc, "ctc", model.config.depth)
+    plan = _plan(rc, "ctc", model.config)
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)
     head = _head_from(extras, model.config.model_dim, rc.checkpoint, vocab)

@@ -17,7 +17,8 @@ once for all squeeze factors; pooling factors never change the
 parameter count.
 
 A forward is the one place that decides to use a second CPU. When the
-squeezed sequence has ``_SPLIT_ROWS`` rows or more, no tape or MAC counter
+squeezed sequence has ``_SPLIT_ROWS`` (384) rows or more, which a
+1000-frame input has at every standard config, no tape or MAC counter
 is active and the process may run on two or more CPUs, it starts one
 worker thread and joins it before it returns (``attention._Worker``). Each
 attention call then runs half of its heads on it, and each layer's tail
@@ -233,8 +234,12 @@ class _Layer(NamedTuple):
 # Squeezed rows from which a forward without a tape or MAC counter uses a
 # second CPU for its attention heads and each layer's tail
 # (``_tail_in_halves``), and the fewest rows a half may have
-# (``_tail_in_halves`` says why 16).
-_SPLIT_ROWS = 512
+# (``_tail_in_halves`` says why 16). 384 is past the break-even of both
+# desk presets on a 2-vCPU host: interleaved float32 1-1-1 forwards, split
+# over one thread, took 1.05/0.93/0.92 of the time on tiny at 256/320/384
+# rows and 0.81/0.74/0.85 on small; at 256 rows tiny was slower split. It
+# puts every T = 1000 forward at s_f = 2 (500 rows) on two CPUs.
+_SPLIT_ROWS = 384
 _GEMM_ROWS = 16
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ctc import ctc_loss, edit_distance, greedy_decode
-from .encoder import EncoderModel
+from .encoder import EncoderConfig, EncoderModel
 from .errors import ConfigError, DivergenceError, InfeasibleLabelError, InputError
 from .stochastic import CompressionConfig, FactorSets, Rng, fixed_config, sample_config
 from .tensor import (
@@ -82,6 +82,14 @@ class TrainPlan:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.eval_interval < 0:
             raise ConfigError(f"eval_interval must be >= 0, got {self.eval_interval}")
+
+    def check_fits(self, config: EncoderConfig) -> None:
+        """Raise ConfigError unless the largest factors a step can draw fit
+        the encoder's ceilings; a run checks this before step 0, and the CLI
+        before it writes any output."""
+        sets = self.sets
+        (self.fixed or fixed_config(max(sets.squeeze_set), max(sets.kv_set), max(sets.q_set),
+                                    config.depth)).check_fits(config)
 
 
 @dataclass
@@ -261,9 +269,7 @@ def _run_loop(model, aux_params, plan, dataset, loss_fn, phase, val_fn=None):
     """Shared optimizer loop; loss_fn(utt, config) -> (scalar Tensor | None)."""
     if len(dataset) < 1:
         raise InputError("dataset is empty")
-    sets = plan.sets  # the largest factors a step can draw must fit before step 0 runs
-    (plan.fixed or fixed_config(max(sets.squeeze_set), max(sets.kv_set), max(sets.q_set),
-                                model.config.depth)).check_fits(model.config)
+    plan.check_fits(model.config)
     trainable = dict(model.params)
     trainable.update(aux_params)
     root = Rng(plan.seed).fork(phase)

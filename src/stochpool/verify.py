@@ -16,7 +16,7 @@ import numpy as np
 from .attention import AttentionParams, _shift_free, attend, multi_head_pooled
 from .ctc import ctc_loss, ctc_loss_bruteforce, greedy_decode, min_frames
 from .data import synth_audio
-from .encoder import EncoderModel, preset
+from .encoder import _SPLIT_ROWS, EncoderModel, preset
 from .gradcheck import check_gradients
 from .pooling import downsample, upsample
 from .stochastic import (STANDARD_CONFIGS, FactorSets, Rng, fixed_config, parse_triplet,
@@ -327,9 +327,11 @@ def _check_float32_serving(seed):
     the max shift while the other layers skip it; the MAC counter's
     attention counts assert that both sides of the decision ran. A
     600-frame feature input at 1-1-1 spans more than one float32 query
-    block per attention call, which is asserted too. That forward runs once
-    more without the counter, where it may use a second CPU (its attention
-    heads and each layer's rows in halves), and must give the same bits.
+    block per attention call, which is asserted too. That forward, and a
+    2-2-2 one of ``2 * encoder._SPLIT_ROWS`` frames (a squeezed sequence of
+    ``_SPLIT_ROWS`` rows), run once more without the counter, where they may
+    use a second CPU (their attention heads and each layer's rows in
+    halves), and must give the same bits.
     """
     base = EncoderModel(preset("small"), seed=seed)
     audio = synth_audio(seed, seconds=1.0)
@@ -361,16 +363,18 @@ def _check_float32_serving(seed):
             skips += counter.shift_skips
     assert 0 < skips < calls, (
         f"{skips} of {calls} float32 calls skipped the shift; both sides must run")
-    t = 600
-    feats = _rand(Rng(seed).fork("long_features"), t, base.config.model_dim)
     base32 = base.astype(np.float32)
-    counter, counted = compare(base, base32, feats, feats, (1, 1, 1), f"{t} feature frames")
-    assert counter.query_blocks > counter.attention_calls, (
-        f"the {t}-frame float32 forward ran {counter.query_blocks} query blocks in "
-        f"{counter.attention_calls} calls; each must span more than one")
-    uncounted = base32.forward(feats, fixed_config(1, 1, 1, base.config.depth)).data
-    assert np.array_equal(uncounted, counted), (
-        f"the {t}-frame float32 forward differs with and without a MAC counter")
+    for t, triplet in ((600, (1, 1, 1)), (2 * _SPLIT_ROWS, (2, 2, 2))):
+        feats = _rand(Rng(seed).fork("long_features"), t, base.config.model_dim)
+        counter, counted = compare(base, base32, feats, feats, triplet, f"{t} feature frames")
+        if triplet == (1, 1, 1):
+            assert counter.query_blocks > counter.attention_calls, (
+                f"the {t}-frame float32 forward ran {counter.query_blocks} query blocks in "
+                f"{counter.attention_calls} calls; each must span more than one")
+        uncounted = base32.forward(feats, fixed_config(*triplet, base.config.depth)).data
+        assert np.array_equal(uncounted, counted), (
+            f"the {t}-frame float32 forward at {triplet} differs with and without a MAC "
+            f"counter")
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ class TestPretrainCommand:
         assert run(command, str(cfg)) == 2
         err = capsys.readouterr().err
         assert error in err and "Traceback" not in err
-        assert not (out / "checkpoint.stpl").exists()
+        assert not out.exists()  # rejected before any output is written
 
 
 def _unreadable_argv(tmp_path, bad, kind):

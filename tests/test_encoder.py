@@ -223,7 +223,9 @@ class TestRowSplit:
     def test_split_on_every_layer_matches_one_thread(self, started, monkeypatch, dtype):
         model = EncoderModel(preset("small"), seed=23).astype(dtype)
         depth = model.config.depth
-        for t in (37, 300, 333, 513, 1000):
+        # at s_f = 2, T = 767/768/769 squeeze to 384/384/385 rows: both sides
+        # of the default threshold
+        for t in (37, 300, 333, 513, 767, 768, 769, 1000):
             feats = rand(24 + t, t, model.config.model_dim)
             for name in STANDARD_CONFIGS:
                 config = fixed_config(*parse_triplet(name), depth)
@@ -277,6 +279,25 @@ class TestForwardWorker:
         monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", 10 ** 9)
         assert np.array_equal(split, self.forward(model, "1-2-2").data)
         assert len(started) == 1
+
+    @pytest.mark.parametrize("config", ["1-1-1", "2-2-2"])
+    def test_the_default_threshold_is_the_first_split_row(self, started, model, config):
+        rows = encoder_module._SPLIT_ROWS
+        triplet = parse_triplet(config)
+        for t, threads in ((triplet[0] * (rows - 1), 0), (triplet[0] * rows, 1)):
+            model.forward(rand(29, t, 64), fixed_config(*triplet, model.config.depth))
+            assert len(started) == threads, f"{t} frames at {config}"
+
+    @pytest.mark.parametrize("config", STANDARD_CONFIGS)
+    def test_benchmark_length_splits_at_every_standard_config(self, started, halves, config):
+        # the shape of an infer-long request: the small preset at T = 1000
+        model = EncoderModel(preset("small"), seed=31).astype(np.float32)
+        triplet = parse_triplet(config)
+        model.forward(rand(32, 1000, model.config.model_dim),
+                      fixed_config(*triplet, model.config.depth))
+        assert len(started) == 1
+        rows = -(-1000 // triplet[0])
+        assert [n for _, n in halves] == [model.config.heads, rows] * model.config.depth
 
     @pytest.mark.parametrize("on_worker", [True, False], ids=["worker-raises", "caller-raises"])
     def test_a_failing_half_raises_in_the_caller(self, started, monkeypatch, model, on_worker):
