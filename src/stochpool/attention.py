@@ -16,9 +16,17 @@ at H = 4, whenever Tq Tk <= 2^18) that block is the whole buffer. The op
 reports its multiply-accumulates to the active counter like ``matmul``
 does, along with its call, whether it skipped the max shift below and its
 query block count. Single-head attention is the H = 1 case. Inside a
-forward that uses a second CPU (``_Worker``), the op runs the two halves
-of its heads on two threads; elsewhere, a direct ``attend`` included, it
-runs on the calling thread.
+split region (``_worker_for``) the op runs the two halves of its heads on
+the calling thread and on the process's worker; elsewhere, a direct
+``attend`` included, it runs on the calling thread.
+
+The process has at most one worker thread (``_Worker``). The first split
+region starts it, as a daemon thread that interpreter exit stops and
+joins; importing stochpool starts none. One region at a time holds it,
+taken with a non-blocking lock: a caller that finds it held runs its
+whole call on its own thread, with the same bits. A forked child forgets
+the parent's worker (``os.register_at_fork``) and starts its own at its
+first split. A region pins numpy's bundled OpenBLAS to one thread.
 
 Softmax is shift-invariant, so the usual subtraction of each row's max
 logit only guards the range of exp. The op skips it when a bound proves
@@ -71,13 +79,16 @@ of plain attention, bit for bit.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import ctypes
+import functools
 import math
 import os
 import queue
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -153,49 +164,96 @@ except (AttributeError, OSError, TypeError):
     _sched_getcpu = None
 
 
-class _Worker:
-    """A second thread for one forward: ``with _Worker(cpus):`` starts it on
-    ``cpus`` minus the calling thread's CPU, makes it the calling thread's
-    ``_state.worker`` for the block and joins it on leaving the block,
-    exceptions included.
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
 
-    ``EncoderModel.forward`` is the only place that opens this block, and
-    so decides when stochpool uses a second CPU. Inside it the attention op
-    hands the worker half its heads and ``encoder._tail_in_halves`` half of
-    each layer's rows, through a queue (about 18 us on a 2-vCPU host,
-    against about 0.12-0.2 ms to start and join a thread per call).
-    ``halves(run, n)`` runs ``run`` over [n/2, n) on the worker while the
-    calling thread runs [0, n/2); the calling thread waits for the worker's
-    half in a ``finally`` and then re-raises what the worker raised, unless
-    its own half raised first.
+    numpy wheels ship it as ``numpy.libs/libscipy_openblas64_*.so``;
+    loading that file again returns the library numpy already uses. The
+    lookup runs once per process.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _blas_pinned_to_one_thread():
+    """Limit numpy's bundled OpenBLAS to one thread for the block, through
+    ctypes, restoring the previous count on exit, exceptions included; a
+    no-op when numpy ships no such library.
+
+    A split region runs in it: with OpenBLAS at its default of one thread
+    per CPU, a split forward took 1.8-3.9x the time of an unsplit one. ``cost_model.measure`` times
+    in it too, as multi-threaded GEMM adds scheduler jitter that can swamp
+    small configuration deltas.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
+class _Worker:
+    """The process's second thread: ``_worker_for`` starts it at the first
+    split and hands it to one split region at a time.
+
+    Inside a region the attention op hands the worker half its heads,
+    ``encoder._tail_in_halves`` half of each layer's rows and
+    ``EncoderModel._features_in_halves`` half of the front end's frames,
+    through a queue (about 18 us on a 2-vCPU host, against about 0.12-0.2
+    ms to start, move and join a thread). ``halves(run, n)`` runs ``run`` over
+    [n/2, n) on the worker while the calling thread runs [0, n/2); the
+    calling thread waits for the worker's half in a ``finally`` and then
+    re-raises what the worker raised, unless its own half raised first.
 
     numpy releases the GIL inside matmul and the elementwise ufuncs and
-    reductions, so the halves run in parallel. The worker first restricts
-    itself to the process's CPUs other than the caller's: a kernel that does
-    not balance load (a cpuset with ``sched_load_balance`` 0, as on some VM
-    guests) starts it on its creator's CPU and keeps it there, where the
-    halves take turns. Of what both halves can see, each writes only its own
-    slices of the caller's output buffers, and every operation in it gets
-    exactly the operands it gets on one thread (a head's whole batch, or
-    rows of a row-wise op; see ``encoder._tail_in_halves`` for the one
-    caveat, products of fewer than 16 rows), so the result is the same bit
-    for bit.
+    reductions, so the halves run in parallel. The worker is kept off the
+    calling thread's CPU (``leave``): a kernel that does not balance load (a
+    cpuset with ``sched_load_balance`` 0, as on some VM guests) starts it
+    on its creator's CPU and keeps it there, where the halves take turns.
+    Of what both halves can see, each writes only its own slices of the
+    caller's output buffers, and every operation in it gets exactly the
+    operands it gets on one thread (a head's whole batch, rows of a
+    row-wise op, or the frames of a conv stack that start where the whole
+    clip's frames do; see ``encoder._tail_in_halves`` for the one caveat,
+    products of fewer than 16 rows), so the result is the same bit for bit.
     """
 
-    def __init__(self, cpus: set):
+    def __init__(self):
         self._jobs = queue.SimpleQueue()
         self._done = queue.SimpleQueue()
-        away = cpus - {_sched_getcpu()} if _sched_getcpu else cpus
-        self._thread = threading.Thread(target=self._serve, args=(away,))
+        self._away = None  # the CPUs the worker was restricted to, once moved
+        self._thread = threading.Thread(target=self._serve, name="stochpool-worker",
+                                        daemon=True)
         self._thread.start()
 
-    def __enter__(self):
-        _state.worker = self
-
-    def __exit__(self, *exc):
-        _state.worker = None
-        self._jobs.put(None)
-        self._thread.join()
+    def leave(self, cpus: set) -> None:
+        """Restrict the worker to ``cpus`` minus the calling thread's CPU, on
+        the first region and whenever the caller runs on one of its CPUs."""
+        cpu = _sched_getcpu() if _sched_getcpu else None
+        if self._away is None or cpu in self._away:
+            self._away = cpus - {cpu}
+            with contextlib.suppress(AttributeError, OSError):  # best effort
+                os.sched_setaffinity(self._thread.native_id, self._away)
 
     def halves(self, run, n: int) -> None:
         self._jobs.put((run, slice(n // 2, n)))
@@ -206,9 +264,11 @@ class _Worker:
         if raised is not None:
             raise raised
 
-    def _serve(self, away: set) -> None:
-        with contextlib.suppress(AttributeError, OSError):  # best effort
-            os.sched_setaffinity(0, away)
+    def stop(self) -> None:
+        self._jobs.put(None)
+        self._thread.join()
+
+    def _serve(self) -> None:
         while (job := self._jobs.get()) is not None:
             try:
                 job[0](job[1])
@@ -220,6 +280,62 @@ class _Worker:
             del job
             self._done.put(raised)
             del raised
+
+
+_worker = None  # the process's worker, from the first split region on
+_worker_lock = threading.Lock()  # held by the thread whose split region has the worker
+
+
+@contextlib.contextmanager
+def _worker_for(cpus: set):
+    """One split region: the process's worker for the block, or None when
+    another thread's region holds it, in which case the caller runs its
+    work alone, with the same bits.
+
+    The first region starts the worker. Each region moves it off the
+    calling thread's CPU where needed (``_Worker.leave``), makes it the
+    calling thread's ``_state.worker`` and pins BLAS to one thread
+    (``_blas_pinned_to_one_thread``), undoing both on exit, exceptions
+    included.
+    """
+    global _worker
+    if not _worker_lock.acquire(blocking=False):
+        yield None
+        return
+    try:
+        if _worker is None:
+            _worker = _Worker()
+        _worker.leave(cpus)
+        with _blas_pinned_to_one_thread():
+            _state.worker = _worker
+            try:
+                yield _worker
+            finally:
+                _state.worker = None
+    finally:
+        _worker_lock.release()
+
+
+def _stop_worker() -> None:
+    """Stop and join the process's worker, if one runs, once no region holds
+    it; the next split region starts a new one. Runs at interpreter exit."""
+    global _worker
+    with _worker_lock:
+        if _worker is not None:
+            _worker.stop()
+            _worker = None
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread does not exist here,
+    and its lock may have been held by a parent thread; start afresh."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _query_blocks(tq: int, tk: int, heads: int, itemsize: int) -> range:
@@ -266,7 +382,7 @@ def _fused_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             ob = np.matmul(pb, vh[h], out=oh[h, rows])
             ob /= sums  # normalise the (H, rows, d_v) output, not the weights
 
-    worker = _state.worker  # set only inside a forward's ``_Worker`` block
+    worker = _state.worker  # set only inside a split region (``_worker_for``)
     if worker is not None and heads >= 2:
         worker.halves(run, heads)
     else:

@@ -207,9 +207,9 @@ def cmd_finetune(args) -> int:
     model, extras, _ = _model_from(rc)
     train, val, vocab, token_vocab = _labeled_datasets(rc, model.config.model_dim)
     plan = _plan(rc, "ctc", model.config)
+    head = _head_from(extras, model.config.model_dim, rc.checkpoint, vocab)
     out = Path(rc.output_dir)
     echo_effective_config(rc, out)
-    head = _head_from(extras, model.config.model_dim, rc.checkpoint, vocab)
     result = finetune(model, plan, train, vocab, val_dataset=val, head=head)
     write_train_log(out / "train_log.jsonl", result.log)
     meta = {"phase": "finetune", "preset": rc.preset, "seed": rc.seed, "mode": plan.mode,

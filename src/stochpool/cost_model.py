@@ -22,17 +22,14 @@ copy of the model.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import gc
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from .attention import _blas_pinned_to_one_thread
 from .ctc import greedy_decode
 from .encoder import EncoderConfig, EncoderModel, FeatureExtractorConfig
 from .errors import ConfigError, InputError
@@ -177,51 +174,6 @@ def _median_min_max(values):
     return (float(np.median(values)), float(min(values)), float(max(values)))
 
 
-@functools.lru_cache(maxsize=1)
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
-
-    numpy wheels ship it as ``numpy.libs/libscipy_openblas64_*.so``;
-    loading that file again returns the library numpy already uses.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes = []
-        get_threads.restype = ctypes.c_int
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        return get_threads, set_threads
-    return None
-
-
-@contextmanager
-def _blas_pinned_to_one_thread():
-    """Limit BLAS thread pools to one worker for the timed region.
-
-    Measurement runs in a single execution context; multi-threaded GEMM
-    adds scheduler jitter that can swamp small configuration deltas.
-    Sets numpy's bundled OpenBLAS through ctypes, restoring the previous
-    count on exit; a no-op when numpy ships no such library.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    previous = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(previous)
-
-
 def measure(model: EncoderModel, configs, dataset,
             repeats: int = 5, head: dict | None = None) -> list:
     """Median wall time of float32 forward passes over a feature dataset,
@@ -237,9 +189,9 @@ def measure(model: EncoderModel, configs, dataset,
     measures the host's other work, not the model.
     Decoding (output head plus greedy collapse) is timed separately when a
     head is given. Passes run one at a time from the calling thread, but
-    a forward whose squeezed sequence reaches ``encoder._SPLIT_ROWS`` rows
-    runs half of its attention heads and layer rows on a second thread,
-    whose CPU time counts too.
+    a forward whose squeezed sequence reaches ``encoder._SPLIT_VALUES``
+    values runs half of its attention heads and layer rows on the
+    process's worker thread, whose CPU time counts too.
     """
     configs = list(configs)
     if repeats < 3:

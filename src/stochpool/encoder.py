@@ -16,16 +16,20 @@ head is the only parameter the squeeze mechanism adds, and it exists
 once for all squeeze factors; pooling factors never change the
 parameter count.
 
-A forward is the one place that decides to use a second CPU. When the
-squeezed sequence has ``_SPLIT_ROWS`` (384) rows or more, which a
-1000-frame input has at every standard config, no tape or MAC counter
-is active and the process may run on two or more CPUs, it starts one
-worker thread and joins it before it returns (``attention._Worker``). Each
-attention call then runs half of its heads on it, and each layer's tail
-after attention (residual, layer norm, feed-forward block, residual,
-layer norm) rows [T'/2, T'). Every output bit is the one a single thread
-gives. Otherwise the whole forward runs on the calling thread, through
-the tensor ops.
+Two calls use a second CPU, through one helper (``_second_cpu``): a
+forward whose squeezed sequence holds ``_SPLIT_VALUES`` values (rows times
+model width: 384 rows on the tiny preset, 192 on the small one) or more,
+and a front end (``extract_features``) of ``_FE_SPLIT_FRAMES`` output
+frames or more, each when no tape or MAC counter is active and the process
+may run on two or more CPUs. Such a call runs in a split region
+(``attention._worker_for``), which holds the process's one worker thread
+and pins numpy's bundled OpenBLAS to one thread. In it the worker runs
+half of each attention call's heads, rows [T'/2, T') of each layer's tail
+after attention (residual, layer norm, feed-forward block, residual, layer
+norm) and frames [F/2, F) of the front end, from its own slice of the
+audio. Every output bit is the one a single thread gives with BLAS on one
+thread. Otherwise, and when another thread's region holds the worker, the
+call runs on the calling thread, through the tensor ops.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attention import AttentionParams, _Worker, multi_head_pooled
+from .attention import AttentionParams, _worker_for, multi_head_pooled
 from .errors import ConfigError, InputError, ShapeError
 from .pooling import downsample, upsample
 from .stochastic import CompressionConfig, Rng
@@ -231,16 +235,44 @@ class _Layer(NamedTuple):
     norm2_beta: Tensor
 
 
-# Squeezed rows from which a forward without a tape or MAC counter uses a
-# second CPU for its attention heads and each layer's tail
-# (``_tail_in_halves``), and the fewest rows a half may have
-# (``_tail_in_halves`` says why 16). 384 is past the break-even of both
-# desk presets on a 2-vCPU host: interleaved float32 1-1-1 forwards, split
-# over one thread, took 1.05/0.93/0.92 of the time on tiny at 256/320/384
-# rows and 0.81/0.74/0.85 on small; at 256 rows tiny was slower split. It
-# puts every T = 1000 forward at s_f = 2 (500 rows) on two CPUs.
-_SPLIT_ROWS = 384
+# Squeezed values (rows x model width) from which a forward without a tape
+# or MAC counter uses the second CPU for its attention heads and each
+# layer's tail (``_tail_in_halves``), output frames from which the front
+# end does (``EncoderModel._features_in_halves``), and the fewest rows a
+# half may have (``_tail_in_halves`` says why 16). Both come from
+# interleaved float32 sweeps on a 2-vCPU host, BLAS pinned, the worker
+# already running, as split/one-thread time (split faster in k of 40):
+# - forward, tiny (width 64) at 256/320/384/448 rows: 1.15 (16)/1.02
+#   (23)/0.97 (26)/0.88 (35) at 1-1-1 and 1.03/0.95/0.88/0.98 at 2-2-2;
+#   small (width 128) at 128/160/192/224: 1.00 (21)/0.96 (29)/0.83
+#   (39)/0.84 (40) at 1-1-1 and 0.96/0.91/0.87/0.84 at 2-2-2. The break-even
+#   scales with the width, so the threshold is 384 rows on tiny, 192 on small;
+# - front end, in three sweeps of 40-60 rounds: tiny at 200/250/300/350
+#   frames 1.12-1.18/1.01-1.10/0.97-1.00/0.89-0.92, small at
+#   150/200/250/300 0.97-1.00/0.88-1.05/0.78-0.97/0.63-0.74. 300 frames
+#   (6 s) is at or past the break-even of both presets.
+_SPLIT_VALUES = 384 * 64
+_FE_SPLIT_FRAMES = 300
 _GEMM_ROWS = 16
+
+
+def _split_rows(model_dim: int) -> int:
+    """The fewest squeezed rows from which a forward at this width splits."""
+    return -(-_SPLIT_VALUES // model_dim)
+
+
+def _second_cpu(rows: int, least: int):
+    """The context that work over ``rows`` rows runs in: a split region
+    (``attention._worker_for``), which yields the process's worker unless
+    another thread's region holds it, when there are ``least`` rows and
+    ``2 * _GEMM_ROWS`` or more, no tape or MAC counter is active and the
+    process may run on two or more CPUs; otherwise a null context, which
+    yields None."""
+    if rows < max(least, 2 * _GEMM_ROWS) or _state.tape is not None or _state.macs is not None:
+        return _NO_SCOPE
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    cpus = getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1))
+    return _worker_for(cpus) if len(cpus) > 1 else _NO_SCOPE
 
 
 def _tail(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
@@ -255,7 +287,7 @@ def _tail(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
 
 def _tail_in_halves(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
     """``_tail`` with rows [0, T/2) on the calling thread and [T/2, T) on the
-    forward's worker (``attention._Worker``), without a tape.
+    process's worker (``attention._Worker``), without a tape.
 
     Both halves run ``_tail``'s arithmetic (``_layer_norm_forward`` and
     ``_gelu_forward`` are the ops' own forwards) and write their rows of one
@@ -362,6 +394,10 @@ class EncoderModel:
         normed /= np.sqrt(normed.var() + 1e-8)
         x = as_tensor(normed.reshape(-1, 1), dtype=self.dtype)
         del normed  # a float32 model has its own copy: free the float64 one before the convs
+        frames = (audio.size - rf) // TARGET_TOTAL_STRIDE + 1
+        with _second_cpu(frames, _FE_SPLIT_FRAMES) as worker:
+            if worker is not None:
+                return self._features_in_halves(x.data, frames)
         p = self.params
         with mac_scope("fe"):
             for weight, stride in self._fe_convs:
@@ -369,6 +405,37 @@ class EncoderModel:
             x = layer_norm(x, p["fe.norm.gamma"], p["fe.norm.beta"])
             x = add(matmul(x, p["fe.proj.weight"]), p["fe.proj.bias"])
         return x
+
+    def _features_in_halves(self, samples: np.ndarray, frames: int) -> Tensor:
+        """``extract_features``' conv stack, layer norm and projection after
+        the normalisation, with frames [0, F/2) on the calling thread and
+        [F/2, F) on the process's worker, without a tape.
+
+        Frames [a, b) read samples [320 a, 320 (b - 1) + rf): the strides
+        multiply to the 320-sample hop, so at every layer a half's frames
+        are frames of the whole clip, from the same windows. Each half
+        runs the ops' forwards on its own audio slice (``conv1d``, then
+        ``_gelu_forward`` in place, as ``_tail_in_halves`` does) and writes
+        its rows of one output; the rf - 320 samples the slices share are
+        convolved twice.
+        """
+        p = self.params
+        gamma, beta, w, b = (p[f"fe.{name}"].data
+                             for name in ("norm.gamma", "norm.beta", "proj.weight", "proj.bias"))
+        rf = self.fe.receptive_field
+        out = np.empty((frames, w.shape[1]), samples.dtype)
+
+        def run(r: slice):
+            h = samples[TARGET_TOTAL_STRIDE * r.start:TARGET_TOTAL_STRIDE * (r.stop - 1) + rf]
+            for weight, stride in self._fe_convs:
+                h = conv1d(h, weight, stride=stride).data
+                _gelu_forward(h, None, h)
+            h = _layer_norm_forward(h, gamma, beta, h)[1]
+            np.matmul(h, w, out=out[r])
+            out[r] += b
+
+        _state.worker.halves(run, frames)
+        return as_tensor(out)
 
     def _positional(self, x: Tensor) -> Tensor:
         """x + GELU(grouped conv of x), the conv zero-padded to keep x's length."""
@@ -393,17 +460,10 @@ class EncoderModel:
         x = self._positional(downsample(x, config.s_f))
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
-        worker = _NO_SCOPE
-        if (x.data.shape[0] >= max(_SPLIT_ROWS, 2 * _GEMM_ROWS)
-                and _state.tape is None and _state.macs is None):
-            getaffinity = getattr(os, "sched_getaffinity", None)
-            cpus = getaffinity(0) if getaffinity else set(range(os.cpu_count() or 1))
-            if len(cpus) > 1:
-                worker = _Worker(cpus)
-        with worker:
+        with _second_cpu(x.data.shape[0], _split_rows(cfg.model_dim)) as worker:
             for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):
                 attn_out = multi_head_pooled(x, attn, pair)
-                x = (_tail(x, attn_out, layer) if worker is _NO_SCOPE
+                x = (_tail(x, attn_out, layer) if worker is None
                      else _tail_in_halves(x, attn_out, layer))
         if config.s_f > 1:
             with mac_scope("upsample"):

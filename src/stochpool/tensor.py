@@ -49,11 +49,11 @@ Ops must stay module-level names that callers look up at call time
 (``from .tensor import gelu``, then ``gelu(...)``), never references
 cached on an object or in a closure: tracing wraps them by rebinding those
 names, so a cached reference would hide an op from it. The one exception
-is a forward that runs its layers' rows in two halves: it calls the
-forwards of ``gelu`` and ``layer_norm`` (``_gelu_forward``,
-``_layer_norm_forward``) directly. It splits only while no MAC counter is
-active, and perfbench's traced phase counts the MACs of every forward, so
-tracing still sees every op.
+is work split across the second CPU, a forward's layer rows or the front
+end's frames: it calls the forwards of ``gelu`` and ``layer_norm``
+(``_gelu_forward``, ``_layer_norm_forward``) directly. It splits only
+while no MAC counter is active, and perfbench's traced phase counts the
+MACs of every forward and front end, so tracing still sees every op.
 """
 
 from __future__ import annotations

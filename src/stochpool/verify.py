@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionParams, _shift_free, attend, multi_head_pooled
+from .attention import (AttentionParams, _blas_pinned_to_one_thread, _shift_free, attend,
+                        multi_head_pooled)
 from .ctc import ctc_loss, ctc_loss_bruteforce, greedy_decode, min_frames
-from .data import synth_audio
-from .encoder import _SPLIT_ROWS, EncoderModel, preset
+from .data import SAMPLE_RATE, synth_audio
+from .encoder import _FE_SPLIT_FRAMES, EncoderModel, _split_rows, preset
 from .gradcheck import check_gradients
 from .pooling import downsample, upsample
 from .stochastic import (STANDARD_CONFIGS, FactorSets, Rng, fixed_config, parse_triplet,
@@ -328,10 +329,13 @@ def _check_float32_serving(seed):
     attention counts assert that both sides of the decision ran. A
     600-frame feature input at 1-1-1 spans more than one float32 query
     block per attention call, which is asserted too. That forward, and a
-    2-2-2 one of ``2 * encoder._SPLIT_ROWS`` frames (a squeezed sequence of
-    ``_SPLIT_ROWS`` rows), run once more without the counter, where they may
+    2-2-2 one of twice ``encoder._split_rows`` frames (a squeezed sequence
+    of that many rows), run once more without the counter, where they may
     use a second CPU (their attention heads and each layer's rows in
-    halves), and must give the same bits.
+    halves), and must give the same bits; so must the float32 front end of
+    a clip of ``encoder._FE_SPLIT_FRAMES`` + 1 frames, which may run in two
+    halves of frames. The counted float32 runs pin BLAS to one thread, as
+    a split does.
     """
     base = EncoderModel(preset("small"), seed=seed)
     audio = synth_audio(seed, seconds=1.0)
@@ -341,7 +345,7 @@ def _check_float32_serving(seed):
         and output."""
         config = fixed_config(*triplet, base.config.depth)
         want = model64.forward(feats64, config).data
-        with count_macs() as counter:
+        with _blas_pinned_to_one_thread(), count_macs() as counter:
             got = model32.forward(feats32, config).data
         err = float(np.abs(got - want).max() / np.abs(want).max())
         assert err <= 1e-3, (  # NaN fails too
@@ -364,7 +368,7 @@ def _check_float32_serving(seed):
     assert 0 < skips < calls, (
         f"{skips} of {calls} float32 calls skipped the shift; both sides must run")
     base32 = base.astype(np.float32)
-    for t, triplet in ((600, (1, 1, 1)), (2 * _SPLIT_ROWS, (2, 2, 2))):
+    for t, triplet in ((600, (1, 1, 1)), (2 * _split_rows(base.config.model_dim), (2, 2, 2))):
         feats = _rand(Rng(seed).fork("long_features"), t, base.config.model_dim)
         counter, counted = compare(base, base32, feats, feats, triplet, f"{t} feature frames")
         if triplet == (1, 1, 1):
@@ -375,6 +379,12 @@ def _check_float32_serving(seed):
         assert np.array_equal(uncounted, counted), (
             f"the {t}-frame float32 forward at {triplet} differs with and without a MAC "
             f"counter")
+    frames = _FE_SPLIT_FRAMES + 1
+    clip = synth_audio(seed, seconds=base32.fe.samples_for_frames(frames) / SAMPLE_RATE)
+    with _blas_pinned_to_one_thread(), count_macs():
+        counted = base32.extract_features(clip).data
+    assert np.array_equal(base32.extract_features(clip).data, counted), (
+        f"the float32 front end of a {frames}-frame clip differs with and without a MAC counter")
 
 
 # ---------------------------------------------------------------------------

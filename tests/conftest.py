@@ -6,7 +6,7 @@ in between fails the run. Caches that Python and pytest keep there are
 skipped.
 
 The ``started`` and ``halves`` fixtures spy on the threads a test starts
-and on the work it hands a forward's second thread.
+and on the work it hands the process's worker thread.
 """
 
 import os
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from stochpool.attention import _Worker
+from stochpool.attention import _stop_worker, _Worker
 
 REPO = Path(__file__).resolve().parents[1]
 SKIPPED_DIRS = {".git", "__pycache__", ".pytest_cache"}
@@ -51,9 +51,16 @@ def working_tree_untouched():
 
 @pytest.fixture
 def started(monkeypatch):
-    """The threads a test starts, on a host with two usable CPUs; each must be
-    joined, and none left alive, by the end of the test."""
+    """The threads a test starts, on a host with two usable CPUs.
+
+    The test starts with no worker and may start at most one, the
+    process's worker, which outlives the split that starts it; the test's
+    own threads count too. At the end
+    the fixture stops it through the function that interpreter exit calls
+    (``attention._stop_worker``), and every started thread must then be
+    joined, and none left alive."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _stop_worker()
     started, joined = [], []
 
     class Spy(threading.Thread):
@@ -68,8 +75,10 @@ def started(monkeypatch):
     monkeypatch.setattr(threading, "Thread", Spy)
     before = threading.active_count()
     yield started
+    _stop_worker()
+    assert [t.name for t in started].count("stochpool-worker") <= 1
     assert threading.active_count() == before
-    assert joined == started
+    assert set(joined) == set(started)
     assert not any(t.is_alive() for t in started)
 
 

@@ -2,6 +2,8 @@
 
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
@@ -15,6 +17,7 @@ import pytest
 from stochpool import attention, encoder, verify
 from stochpool.attention import (_EXP_LIMIT, _SHIFT_FREE, AttentionParams, _query_blocks,
                                  _shift_free, attend, multi_head_pooled)
+from stochpool.data import SAMPLE_RATE, synth_audio
 from stochpool.encoder import EncoderModel, preset
 from stochpool.errors import ConfigError, ShapeError
 from stochpool.gradcheck import check_gradients
@@ -157,8 +160,8 @@ class TestQueryBlocks:
 
 
 class TestHeadSplit:
-    """Inside a forward's worker block (``attention._Worker``) the op runs
-    the two halves of its heads on two threads, with the bits of one thread;
+    """Inside a split region (``attention._worker_for``) the op runs the two
+    halves of its heads on two threads, with the bits of one thread;
     elsewhere it runs on the calling thread."""
 
     TK = 128
@@ -176,7 +179,7 @@ class TestHeadSplit:
             q[:, 0], k[:, 0] = 400.0, 10.0
         assert decision(q, k, v, heads) is not shift
         assert len(_query_blocks(n, self.TK, heads, itemsize)) == 1
-        with attention._Worker({0, 1}):
+        with attention._worker_for({0, 1}):
             out = attend(q, k, v, heads).data
         assert len(started) == 1 and [n for _, n in halves] == [heads]
         assert out.dtype == dtype
@@ -186,7 +189,7 @@ class TestHeadSplit:
         q, k, v = (rand(seed, rows, 16).astype(np.float32)
                    for seed, rows in ((97, 2 * self.TQ), (98, 2 * self.TK), (99, 2 * self.TK)))
         assert len(_query_blocks(len(q), len(k), 4, 4)) == 4
-        with attention._Worker({0, 1}):
+        with attention._worker_for({0, 1}):
             split = attend(q, k, v, 4).data
         assert len(started) == 1 and [n for _, n in halves] == [4]
         assert np.array_equal(split, attend(q, k, v, 4).data)
@@ -204,11 +207,11 @@ class TestHeadSplit:
     ], ids=["four-heads", "one-head", "one-cpu", "taped"])
     def test_splits_only_from_the_threshold(self, started, halves, monkeypatch, heads, cpus,
                                             taped, splits):
-        """A forward of ``_SPLIT_ROWS`` rows splits its attention heads unless
+        """A forward of ``_split_rows`` rows splits its attention heads unless
         it has one head, one usable CPU or a tape."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         model = EncoderModel(replace(preset("tiny"), heads=heads), seed=29)
-        depth, rows = model.config.depth, encoder._SPLIT_ROWS
+        depth, rows = model.config.depth, encoder._split_rows(model.config.model_dim)
         feats, config = Tensor(rand(30, rows, 64)), fixed_config(1, 1, 1, depth)
         if taped:
             with Tape():
@@ -219,13 +222,18 @@ class TestHeadSplit:
         assert len(started) == (cpus > 1 and not taped)
 
     def test_second_thread_leaves_the_callers_cpu(self, started, monkeypatch):
-        moves = []
-        monkeypatch.setattr(attention, "_sched_getcpu", lambda: 1)
-        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(
-            (pid, set(cpus), threading.current_thread())), raising=False)
-        with attention._Worker({0, 1}):
-            attend(rand(94, self.TQ, 8), rand(95, self.TK, 8), rand(96, self.TK, 8), 4)
-        assert moves == [(0, {0}, started[0])]
+        """The worker leaves the caller's CPU in the first region, and moves
+        again only in a region whose caller runs on the worker's CPUs."""
+        moves, cpu = [], [None]
+        monkeypatch.setattr(attention, "_sched_getcpu", lambda: cpu[0])
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: moves.append((pid, set(cpus))), raising=False)
+        q, k, v = rand(94, self.TQ, 8), rand(95, self.TK, 8), rand(96, self.TK, 8)
+        for cpu[0] in (1, 1, 0, 0, 1):
+            with attention._worker_for({0, 1}):
+                attend(q, k, v, 4)
+        tid = started[0].native_id
+        assert moves == [(tid, {0}), (tid, {1}), (tid, {0})]
 
     @pytest.mark.parametrize("on_worker", [True, False], ids=["worker-raises", "caller-raises"])
     def test_a_failing_half_raises_in_the_caller(self, started, monkeypatch, on_worker):
@@ -239,9 +247,135 @@ class TestHeadSplit:
         monkeypatch.setattr(np, "exp", exp)
         q, k, v = rand(91, self.TQ, 8), rand(92, self.TK, 8), rand(93, self.TK, 8)
         with pytest.raises(FloatingPointError, match="exp failed"):
-            with attention._Worker({0, 1}):
+            with attention._worker_for({0, 1}):
                 attend(q, k, v, 4)
         assert len(started) == 1
+
+
+def split_features(seed, frames=300):
+    """A small float32 model, the audio of ``frames`` frames and a 1-1-1
+    config: the front end and the forward both split."""
+    model = EncoderModel(preset("small"), seed=seed).astype(np.float32)
+    audio = synth_audio(seed, seconds=model.fe.samples_for_frames(frames) / SAMPLE_RATE)
+    assert frames >= max(encoder._FE_SPLIT_FRAMES, encoder._split_rows(model.config.model_dim))
+    return model, audio, fixed_config(1, 1, 1, model.config.depth)
+
+
+def serve(model, audio, config) -> np.ndarray:
+    return model.forward(model.extract_features(audio), config).data
+
+
+class TestWorker:
+    """One worker thread per process: the first split starts it, one split
+    region at a time holds it, and a forked child starts its own."""
+
+    def test_every_half_sees_one_blas_thread(self, started, halves, monkeypatch):
+        blas = attention._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy has no bundled OpenBLAS in this environment")
+        get_threads, set_threads = blas
+        seen = []
+        spied = attention._Worker.halves  # the ``halves`` fixture's spy
+
+        def counting(worker, run, n):
+            def run_counted(rows):
+                seen.append(get_threads())
+                run(rows)
+            spied(worker, run_counted, n)
+
+        monkeypatch.setattr(attention._Worker, "halves", counting)
+        model, audio, config = split_features(45)
+        before = get_threads()
+        set_threads(2)
+        try:
+            serve(model, audio, config)
+            with pytest.raises(KeyError):
+                with attention._worker_for({0, 1}):
+                    raise KeyError("a failing region")
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert len(halves) == 1 + 2 * model.config.depth
+        assert seen == [1] * 2 * len(halves)
+        assert after == 2
+
+    def test_callers_at_once_get_the_bits_of_sequential_calls(self, started, halves):
+        """More callers than CPUs, switching threads often: each gets the
+        bits its clip gives alone."""
+        model, audio, config = split_features(46)
+        clips = [audio, audio[::-1].copy(), audio * 0.5]
+        want = [serve(model, clip, config) for clip in clips]
+        barrier = threading.Barrier(len(clips))
+        got = [[] for _ in clips]
+
+        def caller(i):
+            barrier.wait()
+            for _ in range(3):
+                got[i].append(serve(model, clips[i], config))
+
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(clips))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert [len(g) for g in got] == [3] * len(clips)
+        assert all(np.array_equal(out, want[i]) for i in range(len(clips)) for out in got[i])
+
+    def test_a_busy_worker_leaves_the_caller_alone(self, started, halves):
+        """A split while another thread's region holds the worker runs on
+        the calling thread alone, with the same bits."""
+        model, audio, config = split_features(47)
+        want = serve(model, audio, config)
+        split = len(halves)
+        got = []
+        with attention._worker_for({0, 1}) as worker:
+            assert worker is not None
+            caller = threading.Thread(target=lambda: got.append(serve(model, audio, config)))
+            caller.start()
+            caller.join(60)
+            assert not caller.is_alive()
+        assert split == 1 + 2 * model.config.depth and len(halves) == split
+        assert len(got) == 1 and np.array_equal(got[0], want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_a_forked_child_splits_with_the_parents_bits(self, halves):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: nothing splits")
+        model, audio, config = split_features(48)
+        want = serve(model, audio, config)  # the parent's worker runs from here on
+        assert attention._worker is not None and halves
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its split count and output, then leave
+            try:
+                os.close(read_end)
+                before = len(halves)
+                out = serve(model, audio, config)
+                os.write(write_end, (len(halves) - before).to_bytes(4, "little") + out.tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            chunks = []
+            while select.select([read_end], [], [], 60)[0]:
+                if not (chunk := os.read(read_end, 1 << 20)):
+                    break
+                chunks.append(chunk)
+            else:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail("the forked child's split forward did not finish in 60 s")
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        report = b"".join(chunks)
+        assert int.from_bytes(report[:4], "little") == 1 + 2 * model.config.depth
+        assert report[4:] == want.tobytes()
 
 
 def test_importing_stochpool_starts_no_thread_or_process():

@@ -375,6 +375,15 @@ class TestBadCheckpointContents:
         err = capsys.readouterr().err
         assert f"{bad}: " in err and BAD_CONTENT_MESSAGES[problem] in err
 
+    def test_finetune_head_mismatch_writes_nothing(self, finetuned, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "ft.cfg", output_dir=out, dataset="synthetic-symbols",
+                        checkpoint=finetuned, vocab_size=7, steps=1)
+        assert run("finetune", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"{finetuned}: " in err and BAD_CONTENT_MESSAGES["vocab_wide"] in err
+        assert not out.exists()
+
 
 def _with_header_config(finetuned, path, field, value):
     """A copy of ``finetuned`` whose header config has ``field`` set to ``value``."""

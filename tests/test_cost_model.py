@@ -7,12 +7,11 @@ import time
 import numpy as np
 import pytest
 
+from stochpool.attention import _blas_pinned_to_one_thread, _openblas_threads
 from stochpool.cost_model import (
     CSV_HEADER,
     RETAKES,
     CostReport,
-    _blas_pinned_to_one_thread,
-    _openblas_threads,
     analytic_cost,
     analytic_cost_dataset,
     instrumented_macs,

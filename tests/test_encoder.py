@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stochpool import encoder as encoder_module
-from stochpool.attention import AttentionParams, multi_head_pooled
+from stochpool.attention import AttentionParams, _blas_pinned_to_one_thread, multi_head_pooled
 from stochpool.encoder import (
     EncoderConfig,
     EncoderModel,
@@ -18,6 +18,7 @@ from stochpool.encoder import (
     preset,
     save_checkpoint,
 )
+from stochpool.data import SAMPLE_RATE, synth_audio
 from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.stochastic import STANDARD_CONFIGS, Rng, fixed_config, parse_triplet
@@ -215,40 +216,43 @@ class TestForward:
 
 class TestRowSplit:
     """A forward without a tape or MAC counter runs each layer's tail in two
-    row halves from ``_SPLIT_ROWS`` rows on, with the bits of one thread."""
+    row halves from ``_split_rows`` rows on, with the bits of one thread."""
 
     MIN_ROWS = 2 * encoder_module._GEMM_ROWS  # the threshold's floor: halves of 16 rows
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_split_on_every_layer_matches_one_thread(self, started, monkeypatch, dtype):
+    def test_split_on_every_layer_matches_one_thread(self, started, halves, monkeypatch,
+                                                     dtype):
         model = EncoderModel(preset("small"), seed=23).astype(dtype)
         depth = model.config.depth
-        # at s_f = 2, T = 767/768/769 squeeze to 384/384/385 rows: both sides
-        # of the default threshold
-        for t in (37, 300, 333, 513, 767, 768, 769, 1000):
+        # at s_f = 2, T = 383/384/385 squeeze to 192/192/193 rows and
+        # T = 767/768/769 to 384/384/385: both sides of the default
+        # threshold on the small and the tiny preset
+        for t in (37, 300, 333, 383, 384, 385, 513, 767, 768, 769, 1000):
             feats = rand(24 + t, t, model.config.model_dim)
             for name in STANDARD_CONFIGS:
                 config = fixed_config(*parse_triplet(name), depth)
-                monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", 10 ** 9)
-                one = model.forward(feats, config).data
-                monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", self.MIN_ROWS)
-                threads = len(started)
+                monkeypatch.setattr(encoder_module, "_SPLIT_VALUES", 10 ** 9)
+                with _blas_pinned_to_one_thread():  # as a split region pins it
+                    one = model.forward(feats, config).data
+                monkeypatch.setattr(encoder_module, "_SPLIT_VALUES", 1)
+                splits = len(halves)
                 split = model.forward(feats, config).data
                 assert np.array_equal(split, one), f"T={t} {name} {np.dtype(dtype).name}"
                 # at T = 37 and s_f = 2 the 19 rows would make halves of 9 and 10
-                assert len(started) - threads == (-(-t // config.s_f) >= self.MIN_ROWS)
+                assert (len(halves) > splits) == (-(-t // config.s_f) >= self.MIN_ROWS)
 
     @pytest.mark.parametrize("rows", [MIN_ROWS - 1, 19])
     def test_halves_below_sixteen_rows_stay_on_one_thread(self, started, monkeypatch, rows):
-        monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", 1)
+        monkeypatch.setattr(encoder_module, "_SPLIT_VALUES", 1)
         model = EncoderModel(preset("tiny"), seed=25)
         model.forward(rand(26, rows, 64), fixed_config(1, 1, 1, model.config.depth))
         assert started == []
 
 
 class TestForwardWorker:
-    """A forward from ``_SPLIT_ROWS`` rows keeps one worker thread, shared by
-    its attention halves and its row halves, and joins it before returning."""
+    """A forward from ``_split_rows`` rows hands its attention halves and its
+    row halves to the process's one worker thread."""
 
     ROWS = 600
 
@@ -261,7 +265,7 @@ class TestForwardWorker:
                              fixed_config(*parse_triplet(config), model.config.depth))
 
     def test_one_thread_for_attention_and_rows(self, started, halves, model):
-        assert self.ROWS >= encoder_module._SPLIT_ROWS
+        assert self.ROWS >= encoder_module._split_rows(model.config.model_dim)
         self.forward(model)
         assert len(started) == 1
         heads, depth = model.config.heads, model.config.depth
@@ -276,17 +280,25 @@ class TestForwardWorker:
         heads, depth = model.config.heads, model.config.depth
         assert heads * (self.ROWS // 2) ** 2 < 1 << 20
         assert [n for _, n in halves] == [heads, self.ROWS] * depth
-        monkeypatch.setattr(encoder_module, "_SPLIT_ROWS", 10 ** 9)
-        assert np.array_equal(split, self.forward(model, "1-2-2").data)
+        monkeypatch.setattr(encoder_module, "_SPLIT_VALUES", 10 ** 9)
+        with _blas_pinned_to_one_thread():
+            assert np.array_equal(split, self.forward(model, "1-2-2").data)
         assert len(started) == 1
 
     @pytest.mark.parametrize("config", ["1-1-1", "2-2-2"])
-    def test_the_default_threshold_is_the_first_split_row(self, started, model, config):
-        rows = encoder_module._SPLIT_ROWS
+    def test_the_default_threshold_is_the_first_split_row(self, started, halves, config):
+        """384 rows on the tiny preset (width 64) and 192 on the small one
+        (width 128): the same number of squeezed values."""
         triplet = parse_triplet(config)
-        for t, threads in ((triplet[0] * (rows - 1), 0), (triplet[0] * rows, 1)):
-            model.forward(rand(29, t, 64), fixed_config(*triplet, model.config.depth))
-            assert len(started) == threads, f"{t} frames at {config}"
+        for name, rows in (("tiny", 384), ("small", 192)):
+            model = EncoderModel(preset(name), seed=27)
+            e = model.config.model_dim
+            assert encoder_module._split_rows(e) == rows
+            for t, splits in ((triplet[0] * (rows - 1), False), (triplet[0] * rows, True)):
+                before = len(halves)
+                model.forward(rand(29, t, e), fixed_config(*triplet, model.config.depth))
+                assert (len(halves) > before) == splits, f"{name}, {t} frames at {config}"
+        assert len(started) == 1
 
     @pytest.mark.parametrize("config", STANDARD_CONFIGS)
     def test_benchmark_length_splits_at_every_standard_config(self, started, halves, config):
@@ -314,14 +326,71 @@ class TestForwardWorker:
         assert len(started) == 1
 
     def test_no_thread_under_a_tape_or_counter(self, started, model):
-        with Tape():
+        with _blas_pinned_to_one_thread(), Tape():
             taped = self.forward(model)
-        with count_macs():
+        with _blas_pinned_to_one_thread(), count_macs():
             counted = self.forward(model)
         assert started == []
         assert np.array_equal(taped.data, counted.data)
         assert np.array_equal(self.forward(model).data, counted.data)
         assert len(started) == 1
+
+
+class TestFrontEndSplit:
+    """Without a tape or MAC counter, a clip of ``_FE_SPLIT_FRAMES`` output
+    frames or more runs its front end in two halves of frames on the
+    process's worker, with the bits of the whole clip."""
+
+    def features(self, model, monkeypatch, audio, least):
+        """(split, whole): the clip's features with the front end's
+        threshold at ``least`` frames, and with no split."""
+        monkeypatch.setattr(encoder_module, "_FE_SPLIT_FRAMES", least)
+        split = model.extract_features(audio).data
+        monkeypatch.setattr(encoder_module, "_FE_SPLIT_FRAMES", 10 ** 9)
+        with _blas_pinned_to_one_thread():  # as a split region pins it
+            return split, model.extract_features(audio).data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["tiny", "small"])
+    def test_split_matches_the_whole_clip(self, started, halves, monkeypatch, name, dtype):
+        model = EncoderModel(preset(name), seed=51).astype(dtype)
+        least = encoder_module._FE_SPLIT_FRAMES
+        # (frames, samples past the last whole frame): the shortest clip, both
+        # sides of the threshold, odd frame counts and clips with a partial hop
+        for frames, extra in ((1, 0), (least - 1, 319), (least, 0), (least + 1, 0),
+                              (333, 17), (501, 319), (1000, 0)):
+            audio = synth_audio(frames + extra, seconds=(
+                model.fe.samples_for_frames(frames) + extra) / SAMPLE_RATE)
+            before = len(halves)
+            split, whole = self.features(model, monkeypatch, audio, least)
+            assert [n for _, n in halves[before:]] == [frames] * (frames >= least)
+            assert split.shape == (frames, model.config.model_dim) and split.dtype == dtype
+            assert np.array_equal(split, whole), f"{frames} frames + {extra} samples"
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_shortest_split_clip(self, started, halves, monkeypatch, dtype):
+        """Each half needs 16 frames for its projection (``_GEMM_ROWS``): 32
+        frames is the shortest clip that splits, whatever the threshold."""
+        model = EncoderModel(preset("tiny"), seed=52).astype(dtype)
+        for frames in (31, 32, 33):
+            audio = synth_audio(frames, seconds=model.fe.samples_for_frames(frames) / SAMPLE_RATE)
+            before = len(halves)
+            split, whole = self.features(model, monkeypatch, audio, 1)
+            assert len(halves) - before == (frames >= 32)
+            assert np.array_equal(split, whole), f"{frames} frames"
+
+    def test_no_split_under_a_tape_or_counter(self, started, halves):
+        model = EncoderModel(preset("tiny"), seed=53)
+        audio = synth_audio(54, seconds=7.0)
+        with _blas_pinned_to_one_thread(), Tape():
+            taped = model.extract_features(audio).data
+        with _blas_pinned_to_one_thread(), count_macs():
+            counted = model.extract_features(audio).data
+        assert started == [] and halves == []
+        assert np.array_equal(model.extract_features(audio).data, counted)
+        assert np.array_equal(taped, counted)
+        assert len(started) == 1 and len(halves) == 1
 
 
 def parameter_count(model) -> int:
