@@ -217,8 +217,8 @@ class _Worker:
     split and hands it to one split region at a time.
 
     Inside a region the attention op hands the worker half its heads,
-    ``encoder._tail_in_halves`` half of each layer's rows and
-    ``EncoderModel._features_in_halves`` half of the front end's frames,
+    ``encoder._tail`` half of each layer's rows and
+    ``EncoderModel._features_by_rows`` half of the front end's frames,
     through a queue (about 18 us on a 2-vCPU host, against about 0.12-0.2
     ms to start, move and join a thread). ``halves(run, n)`` runs ``run`` over
     [n/2, n) on the worker while the calling thread runs [0, n/2); the
@@ -234,7 +234,7 @@ class _Worker:
     caller's output buffers, and every operation in it gets exactly the
     operands it gets on one thread (a head's whole batch, rows of a
     row-wise op, or the frames of a conv stack that start where the whole
-    clip's frames do; see ``encoder._tail_in_halves`` for the one caveat,
+    clip's frames do; see ``encoder._tail`` for the one caveat,
     products of fewer than 16 rows), so the result is the same bit for bit.
     """
 

@@ -1,12 +1,16 @@
 """Command-line surface: verify, pretrain, finetune, sweep, decode, cost.
 
 Exit codes: 0 success, 1 verification or metric failure, 2 usage/config
-error. Every command honors --seed. pretrain, finetune and sweep read a
-run config file; each of their flags stores into the config key that is
-its argparse ``dest`` (flags win over ``--set``, which wins over file
-keys), so the ``effective_config.txt`` they write replays the run
-exactly. ``--config`` sets ``fixed_config``, and a non-empty
-``fixed_config`` alone makes a pretrain or finetune run deterministic.
+error. verify, pretrain, finetune and sweep take --seed; cost and decode
+draw nothing at random. Every command runs with numpy's bundled OpenBLAS
+pinned to one thread, so its bits do not depend on the host's CPU count.
+pretrain, finetune and sweep read a run config file; each of their flags
+stores into the config key that is its argparse ``dest`` (flags win over
+``--set``, which wins over file keys), so the ``effective_config.txt``
+they write replays the run exactly. ``--config`` sets ``fixed_config``,
+and a non-empty ``fixed_config`` alone makes a pretrain or finetune run
+deterministic; sweep rejects it, as its configurations come from
+``sweep_configs``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .attention import _blas_pinned_to_one_thread
 from .cost_model import analytic_cost, sweep, write_csv, write_json, write_profile
 from .ctc import greedy_decode
 from .data import (
@@ -70,13 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated triplets")
     p_cost.add_argument("--from-audio", action="store_true",
                         help="include the wave feature extractor")
-    p_cost.add_argument("--seed", type=int, default=0)
 
     p_decode = sub.add_parser("decode", help="greedy-decode audio files")
     p_decode.add_argument("checkpoint")
     p_decode.add_argument("audio", nargs="+")
     p_decode.add_argument("--config", default="1-1-1", metavar="TRIPLET")
-    p_decode.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -228,6 +231,9 @@ def cmd_finetune(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
+    if rc.fixed_config:
+        raise ConfigError(f"sweep does not read fixed_config ({rc.fixed_config!r}); list "
+                          f"configurations beyond the standard four in sweep_configs or --configs")
     model, extras, meta = _model_from(rc)
     vocab = meta["vocab_size"] if "vocab_size" in meta else rc.count("vocab_size")
     if "vocab_size" in meta and (type(vocab) is not int or vocab < 1):
@@ -309,7 +315,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with _blas_pinned_to_one_thread():
+            return _COMMANDS[args.command](args)
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,20 +16,23 @@ head is the only parameter the squeeze mechanism adds, and it exists
 once for all squeeze factors; pooling factors never change the
 parameter count.
 
+Each layer's tail after attention is one fused tape op (``_tail``), as
+attention is. Without a tape or MAC counter the front end is one row
+function (``_features_by_rows``); under either it runs the tensor ops.
+
 Two calls use a second CPU, through one helper (``_second_cpu``): a
 forward whose squeezed sequence holds ``_SPLIT_VALUES`` values (rows times
 model width: 384 rows on the tiny preset, 192 on the small one) or more,
-and a front end (``extract_features``) of ``_FE_SPLIT_FRAMES`` output
-frames or more, each when no tape or MAC counter is active and the process
-may run on two or more CPUs. Such a call runs in a split region
-(``attention._worker_for``), which holds the process's one worker thread
-and pins numpy's bundled OpenBLAS to one thread. In it the worker runs
-half of each attention call's heads, rows [T'/2, T') of each layer's tail
-after attention (residual, layer norm, feed-forward block, residual, layer
-norm) and frames [F/2, F) of the front end, from its own slice of the
-audio. Every output bit is the one a single thread gives with BLAS on one
-thread. Otherwise, and when another thread's region holds the worker, the
-call runs on the calling thread, through the tensor ops.
+and a front end of ``_FE_SPLIT_FRAMES`` output frames or more, each when
+no tape or MAC counter is active and the process may run on two or more
+CPUs. Such a call runs in a split region (``attention._worker_for``),
+which holds the process's one worker thread and pins numpy's bundled
+OpenBLAS to one thread. In it the worker runs half of each attention
+call's heads, rows [T'/2, T') of each layer's tail and frames [F/2, F) of
+the front end, from its own slice of the audio. Every output bit is the
+one a single thread gives with BLAS on one thread. Otherwise, and when
+another thread's region holds the worker, the call runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -51,9 +54,12 @@ from .stochastic import CompressionConfig, Rng
 from .tensor import (
     _NO_SCOPE,
     Tensor,
+    _gelu_backward,
     _gelu_forward,
+    _layer_norm_backward,
     _layer_norm_forward,
     _state,
+    _wrap,
     add,
     as_tensor,
     conv1d,
@@ -237,11 +243,11 @@ class _Layer(NamedTuple):
 
 # Squeezed values (rows x model width) from which a forward without a tape
 # or MAC counter uses the second CPU for its attention heads and each
-# layer's tail (``_tail_in_halves``), output frames from which the front
-# end does (``EncoderModel._features_in_halves``), and the fewest rows a
-# half may have (``_tail_in_halves`` says why 16). Both come from
-# interleaved float32 sweeps on a 2-vCPU host, BLAS pinned, the worker
-# already running, as split/one-thread time (split faster in k of 40):
+# layer's tail (``_tail``), output frames from which the front end does
+# (``EncoderModel._features_by_rows``), and the fewest rows a half may have
+# (``_tail`` says why 16). Both come from interleaved float32 sweeps on a
+# 2-vCPU host, BLAS pinned, the worker already running, as split/one-thread
+# time (split faster in k of 40):
 # - forward, tiny (width 64) at 256/320/384/448 rows: 1.15 (16)/1.02
 #   (23)/0.97 (26)/0.88 (35) at 1-1-1 and 1.03/0.95/0.88/0.98 at 2-2-2;
 #   small (width 128) at 128/160/192/224: 1.00 (21)/0.96 (29)/0.83
@@ -275,27 +281,30 @@ def _second_cpu(rows: int, least: int):
     return _worker_for(cpus) if len(cpus) > 1 else _NO_SCOPE
 
 
+def _by_rows(run, rows: int) -> None:
+    """``run`` over rows [0, rows): split between the calling thread and the
+    worker inside a split region, otherwise at once on the calling thread."""
+    worker = _state.worker  # set only inside a split region (``_worker_for``)
+    if worker is None:
+        run(slice(0, rows))
+    else:
+        worker.halves(run, rows)
+
+
 def _tail(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
-    """One layer after its attention: residual and layer norm, then the
-    feed-forward block with its residual and layer norm."""
-    x = layer_norm(add(x, attn_out), layer.norm1_gamma, layer.norm1_beta)
-    with mac_scope("ffn"):
-        h = gelu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
-        h = add(matmul(h, layer.ffn_w2), layer.ffn_b2)
-    return layer_norm(add(x, h), layer.norm2_gamma, layer.norm2_beta)
+    """One layer after its attention, as one tape op: residual and layer
+    norm, then the feed-forward block with its residual and layer norm,
+    LN2(x1 + GELU(x1 w1 + b1) w2 + b2) with x1 = LN1(x + attn_out).
 
-
-def _tail_in_halves(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
-    """``_tail`` with rows [0, T/2) on the calling thread and [T/2, T) on the
-    process's worker (``attention._Worker``), without a tape.
-
-    Both halves run ``_tail``'s arithmetic (``_layer_norm_forward`` and
-    ``_gelu_forward`` are the ops' own forwards) and write their rows of one
-    output that the calling thread allocates. Each half's other arrays are
-    its own thread's, and so is the heap they come from: when the worker
-    wrote into buffers of the caller's heap, which the caller's later
-    forwards then reused, the benchmark's unsplit requests in the same
-    process read 2-5% slower.
+    Every row runs the arithmetic of the ops this fuses, rounding as they
+    do (``_layer_norm_forward`` and ``_gelu_forward`` are the ops' own
+    forwards, here in place), and writes its row of one output that the
+    calling thread allocates. Inside a split region rows [0, T/2) run on
+    the calling thread and [T/2, T) on the process's worker
+    (``attention._Worker``). Each half's other arrays are its own thread's,
+    and so is the heap they come from: when the worker wrote into buffers
+    of the caller's heap, which the caller's later forwards then reused,
+    the benchmark's unsplit requests in the same process read 2-5% slower.
 
     Every op works row by row, so a row's bits do not depend on the rows
     beside it, with one exception: on numpy's bundled OpenBLAS a product of
@@ -303,24 +312,54 @@ def _tail_in_halves(x: Tensor, attn_out: Tensor, layer: _Layer) -> Tensor:
     same rows of a taller product (seen at (m, 512) @ (512, 128), float32
     and float64); pieces of 16 rows or more matched at every height tried.
     The forward splits only when each half has ``_GEMM_ROWS`` rows or more.
+
+    Under a tape all rows run at once and GELU out of place, keeping what
+    the backward reads; it applies the fused ops' backwards in reverse
+    order, so each gradient has the op chain's bits. The counter gets the
+    2 T E F multiply-accumulates of the two products, under ``ffn``.
     """
     xd, ad = x.data, attn_out.data
     gamma1, beta1, w1, b1, w2, b2, gamma2, beta2 = (t.data for t in layer)
+    rows = xd.shape[0]
+    macs = _state.macs
+    if macs is not None:
+        with mac_scope("ffn"):
+            macs.add(2 * rows * w1.shape[0] * w1.shape[1])
+    inputs = (x, attn_out, *layer)
+    recorded = _state.tape is not None and any(t.grad_id is not None for t in inputs)
     out = np.empty_like(xd)
 
-    def run(r: slice):
+    def run(r: slice) -> tuple:
         s = np.add(xd[r], ad[r])
-        x1 = _layer_norm_forward(s, gamma1, beta1, s)[1]
+        y1, x1, inv1 = _layer_norm_forward(s, gamma1, beta1, s)
         h = np.matmul(x1, w1)
         h += b1
-        h = _gelu_forward(h, None, h)[1]
-        h2 = np.matmul(h, w2)
+        if recorded:
+            gs, hg = _gelu_forward(h)
+        else:  # in place, and s is freed before the second product
+            gs, hg = None, _gelu_forward(h, None, h)[1]
+        h2 = np.matmul(hg, w2)
         h2 += b2
         np.add(x1, h2, out=h2)
-        _layer_norm_forward(h2, gamma2, beta2, h2, out[r])
+        y2, _, inv2 = _layer_norm_forward(h2, gamma2, beta2, h2, out[r])
+        return y1, inv1, x1, h, gs, hg, y2, inv2
 
-    _state.worker.halves(run, xd.shape[0])
-    return as_tensor(out)
+    if not recorded:
+        _by_rows(run, rows)
+        return _wrap(out, inputs, None)
+    y1, inv1, x1, h, gs, hg, y2, inv2 = run(slice(0, rows))
+
+    def bwd(g):
+        ds2, dgamma2, dbeta2 = _layer_norm_backward(g, y2, inv2, gamma2)
+        dw2 = hg.T @ ds2
+        dh = _gelu_backward(ds2 @ w2.T, h, gs)
+        dw1 = x1.T @ dh
+        ds, dgamma1, dbeta1 = _layer_norm_backward(ds2 + dh @ w1.T, y1, inv1, gamma1)
+        add_reduce = np.add.reduce
+        return (ds, ds, dgamma1, dbeta1, dw1, add_reduce(dh, axis=0), dw2,
+                add_reduce(ds2, axis=0), dgamma2, dbeta2)
+
+    return _wrap(out, inputs, bwd)
 
 
 class EncoderModel:
@@ -395,9 +434,9 @@ class EncoderModel:
         x = as_tensor(normed.reshape(-1, 1), dtype=self.dtype)
         del normed  # a float32 model has its own copy: free the float64 one before the convs
         frames = (audio.size - rf) // TARGET_TOTAL_STRIDE + 1
-        with _second_cpu(frames, _FE_SPLIT_FRAMES) as worker:
-            if worker is not None:
-                return self._features_in_halves(x.data, frames)
+        if _state.tape is None and _state.macs is None:
+            with _second_cpu(frames, _FE_SPLIT_FRAMES):
+                return self._features_by_rows(x.data, frames)
         p = self.params
         with mac_scope("fe"):
             for weight, stride in self._fe_convs:
@@ -406,18 +445,19 @@ class EncoderModel:
             x = add(matmul(x, p["fe.proj.weight"]), p["fe.proj.bias"])
         return x
 
-    def _features_in_halves(self, samples: np.ndarray, frames: int) -> Tensor:
+    def _features_by_rows(self, samples: np.ndarray, frames: int) -> Tensor:
         """``extract_features``' conv stack, layer norm and projection after
-        the normalisation, with frames [0, F/2) on the calling thread and
-        [F/2, F) on the process's worker, without a tape.
+        the normalisation, without a tape or MAC counter: all frames on the
+        calling thread, or inside a split region frames [0, F/2) there and
+        [F/2, F) on the process's worker.
 
         Frames [a, b) read samples [320 a, 320 (b - 1) + rf): the strides
         multiply to the 320-sample hop, so at every layer a half's frames
         are frames of the whole clip, from the same windows. Each half
         runs the ops' forwards on its own audio slice (``conv1d``, then
-        ``_gelu_forward`` in place, as ``_tail_in_halves`` does) and writes
-        its rows of one output; the rf - 320 samples the slices share are
-        convolved twice.
+        ``_gelu_forward`` in place, as ``_tail`` does) and writes its rows
+        of one output; the rf - 320 samples the slices share are convolved
+        twice.
         """
         p = self.params
         gamma, beta, w, b = (p[f"fe.{name}"].data
@@ -434,7 +474,7 @@ class EncoderModel:
             np.matmul(h, w, out=out[r])
             out[r] += b
 
-        _state.worker.halves(run, frames)
+        _by_rows(run, frames)
         return as_tensor(out)
 
     def _positional(self, x: Tensor) -> Tensor:
@@ -460,11 +500,9 @@ class EncoderModel:
         x = self._positional(downsample(x, config.s_f))
         p = self.params
         x = layer_norm(x, p["input_norm.gamma"], p["input_norm.beta"])
-        with _second_cpu(x.data.shape[0], _split_rows(cfg.model_dim)) as worker:
+        with _second_cpu(x.data.shape[0], _split_rows(cfg.model_dim)):
             for attn, layer, pair in zip(self.attention, self._layers, config.per_layer):
-                attn_out = multi_head_pooled(x, attn, pair)
-                x = (_tail(x, attn_out, layer) if worker is None
-                     else _tail_in_halves(x, attn_out, layer))
+                x = _tail(x, multi_head_pooled(x, attn, pair), layer)
         if config.s_f > 1:
             with mac_scope("upsample"):
                 x = add(matmul(x, p["upsample.weight"]), p["upsample.bias"])

@@ -48,12 +48,13 @@ ops keep the interpreter path short without changing a single float:
 Ops must stay module-level names that callers look up at call time
 (``from .tensor import gelu``, then ``gelu(...)``), never references
 cached on an object or in a closure: tracing wraps them by rebinding those
-names, so a cached reference would hide an op from it. The one exception
-is work split across the second CPU, a forward's layer rows or the front
-end's frames: it calls the forwards of ``gelu`` and ``layer_norm``
-(``_gelu_forward``, ``_layer_norm_forward``) directly. It splits only
-while no MAC counter is active, and perfbench's traced phase counts the
-MACs of every forward and front end, so tracing still sees every op.
+names, so a cached reference would hide an op from it. A fused op, one
+tape op over the work of several (the attention op, the encoder's layer
+tail, the front end's row function), is an op of its own: it calls the
+forwards and backwards of ``gelu`` and ``layer_norm`` (``_gelu_forward``,
+``_layer_norm_forward``, ``_gelu_backward``, ``_layer_norm_backward``)
+directly, so it rounds as the ops it fuses do, and tracing sees the fused
+op, not the ops inside it.
 """
 
 from __future__ import annotations
@@ -385,6 +386,24 @@ def _gelu_forward(x: np.ndarray, s=None, y=None) -> tuple:
     return s, y
 
 
+def _gelu_backward(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``gelu``'s backward from its input x and the forward's s:
+    0.5 g (s + x c (1 + 3 a x x) (2 - s) s), as 1 - t^2 = (2 - s) s, in two
+    buffers, each product and sum rounded as written left to right."""
+    dx = x * _GELU_C
+    tmp = x * (3.0 * _GELU_A)
+    tmp *= x
+    tmp += 1.0
+    dx *= tmp
+    np.subtract(2.0, s, out=tmp)
+    dx *= tmp
+    dx *= s
+    dx += s
+    np.multiply(g, 0.5, out=tmp)
+    dx *= tmp
+    return dx
+
+
 def gelu(a) -> Tensor:
     """GELU in its tanh form: 0.5 x (1 + tanh(c (x + a x^3))).
 
@@ -397,20 +416,7 @@ def gelu(a) -> Tensor:
     s, y = _gelu_forward(x)
 
     def bwd(g):
-        # d/dx = 0.5 g (s + x c (1 + 3 a x x) (2 - s) s), as 1 - t^2 = (2 - s) s;
-        # two buffers, each product and sum rounded as written left to right
-        dx = x * _GELU_C
-        tmp = x * (3.0 * _GELU_A)
-        tmp *= x
-        tmp += 1.0
-        dx *= tmp
-        np.subtract(2.0, s, out=tmp)
-        dx *= tmp
-        dx *= s
-        dx += s
-        np.multiply(g, 0.5, out=tmp)
-        dx *= tmp
-        return (dx,)
+        return (_gelu_backward(g, x, s),)
 
     return _wrap(y, (a,), bwd)
 
@@ -444,6 +450,25 @@ def _layer_norm_forward(x: np.ndarray, gd: np.ndarray, bd: np.ndarray, y=None,
     return y, out, inv
 
 
+def _layer_norm_backward(g: np.ndarray, y: np.ndarray, inv: np.ndarray,
+                         gd: np.ndarray) -> tuple:
+    """``layer_norm``'s backward, (dx, dgamma, dbeta), from the forward's y
+    and per-row scale inv: dx = inv (dy - mean(dy) - y mean(dy y)) with
+    dy = g gamma, in two buffers; the scratch first holds g y for dgamma."""
+    n = y.shape[1]
+    add_reduce = np.add.reduce
+    scratch = g * y
+    dgamma = add_reduce(scratch, axis=0)
+    dbeta = add_reduce(g, axis=0)
+    dy = g * gd
+    np.multiply(dy, y, out=scratch)
+    np.multiply(y, add_reduce(scratch, axis=1, keepdims=True) / n, out=scratch)
+    dy -= add_reduce(dy, axis=1, keepdims=True) / n
+    dy -= scratch
+    dy *= inv
+    return dy, dgamma, dbeta
+
+
 def layer_norm(a, gamma, beta) -> Tensor:
     """Per-row normalization followed by an affine map.
 
@@ -462,22 +487,10 @@ def layer_norm(a, gamma, beta) -> Tensor:
             f"layer_norm affine parameters must have shape ({n},), "
             f"got {gd.shape} and {bd.shape}"
         )
-    add_reduce = np.add.reduce
     y, out, inv = _layer_norm_forward(x, gd, bd)
 
     def bwd(g):
-        # dx = inv (dy - mean(dy) - y mean(dy y)) with dy = g gamma, in two
-        # buffers; the scratch first holds g y for dgamma
-        scratch = g * y
-        dgamma = add_reduce(scratch, axis=0)
-        dbeta = add_reduce(g, axis=0)
-        dy = g * gd
-        np.multiply(dy, y, out=scratch)
-        np.multiply(y, add_reduce(scratch, axis=1, keepdims=True) / n, out=scratch)
-        dy -= add_reduce(dy, axis=1, keepdims=True) / n
-        dy -= scratch
-        dy *= inv
-        return dy, dgamma, dbeta
+        return _layer_norm_backward(g, y, inv, gd)
 
     return _wrap(out, (a, gamma, beta), bwd)
 

@@ -17,7 +17,7 @@ from .attention import (AttentionParams, _blas_pinned_to_one_thread, _shift_free
                         multi_head_pooled)
 from .ctc import ctc_loss, ctc_loss_bruteforce, greedy_decode, min_frames
 from .data import SAMPLE_RATE, synth_audio
-from .encoder import _FE_SPLIT_FRAMES, EncoderModel, _split_rows, preset
+from .encoder import _FE_SPLIT_FRAMES, EncoderModel, _Layer, _split_rows, _tail, preset
 from .gradcheck import check_gradients
 from .pooling import downsample, upsample
 from .stochastic import (STANDARD_CONFIGS, FactorSets, Rng, fixed_config, parse_triplet,
@@ -133,6 +133,10 @@ def _check_op_gradients(seed):
          [_rand(rng, 7, 4), _rand(rng, 4, 2, 3)]),
         ("conv1d_padded", lambda a, w: sum_all(mul(conv1d(a, w, groups=2, pad=2), target)),
          [_rand(rng, 4, 4), _rand(rng, 6, 2, 5)]),
+        ("encoder_tail", lambda x, a, *layer: sum_all(mul(_tail(x, a, _Layer(*layer)), target)),
+         [_rand(rng, 4, 6), _rand(rng, 4, 6), 1.0 + 0.1 * _rand(rng, 6), 0.1 * _rand(rng, 6),
+          _rand(rng, 6, 8), 0.1 * _rand(rng, 8), _rand(rng, 8, 6), 0.1 * _rand(rng, 6),
+          1.0 + 0.1 * _rand(rng, 6), 0.1 * _rand(rng, 6)]),
     ]
     worst = 0.0
     for name, fn, arrays in cases:

@@ -3,20 +3,29 @@
 import argparse
 import hashlib
 import json
+import os
 import struct
+import subprocess
 import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stochpool import pooling
+from stochpool.attention import _openblas_threads
 from stochpool.cli import _build_parser, _load_run_config, main
 from stochpool.cost_model import CSV_HEADER
 from stochpool.data import synth_audio
 from stochpool.encoder import load_checkpoint, save_checkpoint
 from stochpool.runconfig import RunConfig, load_config, parse_config_text
 from wavfile import write_wav
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# environment variables that set the thread count of numpy's BLAS
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
 
 
 def run(*argv):
@@ -498,6 +507,16 @@ class TestSweepCommand:
             assert isinstance(row["timer_flagged"], int) and row["timer_flagged"] >= 0
         assert set(json.loads((out / "sweep.json").read_text())[0]) == set(CSV_HEADER.split(","))
 
+    @pytest.mark.parametrize("how", ["file", "set"])
+    def test_fixed_config_exits_two_pointing_to_sweep_configs(self, tmp_path, capsys, how):
+        cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out", frames=50,
+                        measure="false", **({"fixed_config": "2-1-1"} if how == "file" else {}))
+        extra = ["--set", "fixed_config=2-1-1"] if how == "set" else []
+        assert run("sweep", str(cfg), *extra) == 2
+        err = capsys.readouterr().err
+        assert "fixed_config" in err and "sweep_configs" in err and "--configs" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_sweep_with_checkpoint_reports_symbol_error(self, finetuned, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", output_dir=tmp_path / "out",
                         utterances=2, repeats=3, checkpoint=finetuned)
@@ -547,6 +566,60 @@ class TestCostCommand:
 
     def test_cost_bad_triplet(self, capsys):
         assert run("cost", "--config", "9") == 2
+
+    def test_cost_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("cost", "--seed", "3")
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+class TestDecodeSeed:
+    def test_decode_takes_no_seed(self, finetuned, tmp_path, capsys):
+        wav = tmp_path / "tone.wav"
+        write_wav(wav, synth_audio(7, seconds=1.0))
+        with pytest.raises(SystemExit) as exc:
+            run("decode", str(finetuned), str(wav), "--seed", "3")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and captured.out == ""
+
+
+def _usable_cpus() -> int:
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="one usable CPU: OpenBLAS runs one thread anyway")
+@pytest.mark.skipif(_openblas_threads() is None, reason="numpy ships no bundled OpenBLAS")
+def test_cli_bits_do_not_depend_on_the_blas_environment(tmp_path):
+    """A CLI finetune on 6 s clips (299-frame utterances) writes the same
+    checkpoint bytes and logs the same losses and gradient norms with
+    ``OPENBLAS_NUM_THREADS`` unset, where OpenBLAS starts one thread per CPU,
+    and set to 1: the command pins OpenBLAS to one thread itself."""
+    lines = []
+    for i, words in enumerate(("a b", "b a", "a a b", "b")):
+        write_wav(tmp_path / f"u{i}.wav", 0.5 * synth_audio(80 + i, seconds=6.0))
+        lines.append(f"u{i}.wav\t{words}")
+    (tmp_path / "train.tsv").write_text("\n".join(lines) + "\n")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    outputs = []
+    for threads in (None, "1"):
+        out = tmp_path / f"threads-{threads}"
+        cfg = write_cfg(tmp_path / f"{out.name}.cfg", output_dir=out, steps=3,
+                        dataset=tmp_path / "train.tsv", fixed_config="1-1-1")
+        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "stochpool", "finetune", str(cfg)],
+                              env=run_env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        log = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
+        outputs.append(((out / "checkpoint.stpl").read_bytes(),
+                        [(r["loss"], r["grad_norm"]) for r in log]))
+    (unset_bytes, unset_log), (pinned_bytes, pinned_log) = outputs
+    assert len(unset_log) == 3
+    assert unset_log == pinned_log
+    assert unset_bytes == pinned_bytes
 
 
 class TestBundledRecipes:

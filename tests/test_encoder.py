@@ -22,7 +22,8 @@ from stochpool.data import SAMPLE_RATE, synth_audio
 from stochpool.errors import ConfigError, InputError, ShapeError
 from stochpool.gradcheck import check_gradients
 from stochpool.stochastic import STANDARD_CONFIGS, Rng, fixed_config, parse_triplet
-from stochpool.tensor import Tape, Tensor, add, conv1d, count_macs, gelu, layer_norm, matmul
+from stochpool.tensor import (Tape, Tensor, add, as_tensor, backward, conv1d, count_macs, gelu,
+                              layer_norm, mac_scope, matmul, mul, sum_all)
 from stochpool.training import make_head
 
 
@@ -186,32 +187,83 @@ class TestForward:
                               model.forward(feats, config).data)
 
     def test_post_ln_residual_guard(self, monkeypatch):
+        """The forward's layers end in LN(x1 + FFN(x1)), the post-LN residual,
+        not in LN(FFN(x1)): checked against the op chain in this file."""
         model = EncoderModel(preset("tiny"), seed=17)
         feats = rand(18, 10, 64)
         config = fixed_config(1, 1, 1, 2)
         normal = model.forward(feats, config).data
-        real_add = encoder_module.add
-        calls = []
+        monkeypatch.setattr(encoder_module, "_tail", chain_tail)
+        assert np.array_equal(model.forward(feats, config).data, normal)
+        monkeypatch.setattr(encoder_module, "_tail",
+                            lambda x, attn_out, layer: chain_tail(x, attn_out, layer, False))
+        assert np.abs(model.forward(feats, config).data - normal).max() > 1e-6
 
-        def counting_add(a, b):
-            calls.append((a.shape, b.shape))
-            return real_add(a, b)
 
-        monkeypatch.setattr(encoder_module, "add", counting_add)
-        model.forward(feats, config)
-        # without squeezing, the last add is the final layer's x + FFN(x)
-        final = len(calls)
-        assert calls[-1] == ((10, 64), (10, 64))
+def chain_tail(x, attn_out, layer, residual=True):
+    """The reference for ``encoder._tail``: one layer after its attention as a
+    chain of tensor ops, with the feed-forward residual or without it."""
+    x = layer_norm(add(x, attn_out), layer.norm1_gamma, layer.norm1_beta)
+    with mac_scope("ffn"):
+        h = gelu(add(matmul(x, layer.ffn_w1), layer.ffn_b1))
+        h = add(matmul(h, layer.ffn_w2), layer.ffn_b2)
+    return layer_norm(add(x, h) if residual else h, layer.norm2_gamma, layer.norm2_beta)
 
-        def dropping_add(a, b):
-            calls.append(None)
-            return b if len(calls) == final else real_add(a, b)
 
-        calls.clear()
-        monkeypatch.setattr(encoder_module, "add", dropping_add)
-        hacked = model.forward(feats, config).data
-        assert len(calls) == final
-        assert np.abs(normal - hacked).max() > 1e-6
+def tail_calls(dtype) -> list:
+    """(label, x, attn_out, layer) of every tail call in untaped tiny-preset
+    forwards of 1, 17, 37 and 300 frames at the four standard configs."""
+    model = EncoderModel(preset("tiny"), seed=61).astype(dtype)
+    real, calls = encoder_module._tail, []
+
+    with pytest.MonkeyPatch.context() as patch:
+        for t in (1, 17, 37, 300):
+            for name in STANDARD_CONFIGS:
+                def spy(x, attn_out, layer, label=f"T={t} {name}"):
+                    calls.append((label, x.data, attn_out.data, layer))
+                    return real(x, attn_out, layer)
+
+                patch.setattr(encoder_module, "_tail", spy)
+                model.forward(rand(62 + t, t, 64),
+                              fixed_config(*parse_triplet(name), model.config.depth))
+    return calls
+
+
+class TestTailOp:
+    """``encoder._tail`` is one op with the output, the ten input gradients
+    and the MAC count of the op chain it fuses, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untaped_and_counted_output_is_the_chains(self, dtype):
+        for label, xd, ad, layer in tail_calls(dtype):
+            x, attn_out = as_tensor(xd), as_tensor(ad)
+            want = chain_tail(x, attn_out, layer).data
+            assert np.array_equal(encoder_module._tail(x, attn_out, layer).data, want), label
+            with count_macs() as fused:
+                got = encoder_module._tail(x, attn_out, layer).data
+            with count_macs() as chain:
+                chain_tail(x, attn_out, layer)
+            assert np.array_equal(got, want), label
+            assert fused.by_scope == chain.by_scope == {
+                "ffn": 2 * xd.shape[0] * xd.shape[1] * layer.ffn_w1.shape[1]}, label
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_taped_output_and_gradients_are_the_chains(self, dtype):
+        for label, xd, ad, layer in tail_calls(dtype):
+            inputs = (Tensor(xd), Tensor(ad), *layer)
+            target = as_tensor(rand(63, *xd.shape), dtype=dtype)
+            results = []
+            for tail in (encoder_module._tail, chain_tail):
+                with Tape():
+                    out = tail(inputs[0], inputs[1], encoder_module._Layer(*inputs[2:]))
+                    loss = sum_all(mul(out, target))
+                grads = backward(loss)
+                results.append((out.data, [grads[t] for t in inputs]))
+            (got, got_grads), (want, want_grads) = results
+            assert np.array_equal(got, want), label
+            assert len(got_grads) == 10
+            for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+                assert g.dtype == w.dtype and np.array_equal(g, w), f"{label}, input {i}"
 
 
 class TestRowSplit:
@@ -379,6 +431,21 @@ class TestFrontEndSplit:
             split, whole = self.features(model, monkeypatch, audio, 1)
             assert len(halves) - before == (frames >= 32)
             assert np.array_equal(split, whole), f"{frames} frames"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_whole_clip_row_function_matches_the_ops(self, monkeypatch, dtype):
+        """Below the threshold a clip runs the row function on the calling
+        thread; under a MAC counter it runs the tensor ops, with the same bits."""
+        monkeypatch.setattr(encoder_module, "_FE_SPLIT_FRAMES", 10 ** 9)
+        model = EncoderModel(preset("small"), seed=55).astype(dtype)
+        for frames in (1, 17, 100, 299):
+            audio = synth_audio(56 + frames, seconds=(
+                model.fe.samples_for_frames(frames) + 100) / SAMPLE_RATE)
+            with count_macs():
+                counted = model.extract_features(audio)
+            rows = model.extract_features(audio)
+            assert rows.grad_id is None and rows.data.dtype == dtype
+            assert np.array_equal(rows.data, counted.data), f"{frames} frames"
 
     def test_no_split_under_a_tape_or_counter(self, started, halves):
         model = EncoderModel(preset("tiny"), seed=53)
